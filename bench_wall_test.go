@@ -2,9 +2,9 @@
 // Unlike bench_test.go (whose metrics are the paper's figures), here the
 // time per op IS the result: one op is one complete Figure 1(a) N=150
 // GPSR run, and sim-s/wall-s reports how much simulated time one
-// wall-clock second buys on each hot path. The committed BENCH_core.json
-// (from `go run ./cmd/bench`) tracks the same quantity with parity
-// checking and min-of-reps noise control.
+// wall-clock second buys. The committed BENCH_core.json (from
+// `go run ./cmd/bench`) tracks the same quantity with min-of-reps noise
+// control.
 package anongeo_test
 
 import (
@@ -14,9 +14,8 @@ import (
 	"anongeo"
 )
 
-func benchThroughput(b *testing.B, brute bool) {
+func BenchmarkEngineThroughput(b *testing.B) {
 	cfg := benchConfig(anongeo.ProtoGPSR, 150, 1)
-	cfg.BruteForceRadio = brute
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -27,9 +26,4 @@ func benchThroughput(b *testing.B, brute bool) {
 	}
 	wall := time.Since(start).Seconds()
 	b.ReportMetric(cfg.Duration.Seconds()*float64(b.N)/wall, "sim-s/wall-s")
-}
-
-func BenchmarkEngineThroughput(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchThroughput(b, false) })
-	b.Run("brute", func(b *testing.B) { benchThroughput(b, true) })
 }

@@ -1,13 +1,9 @@
 // bench measures the simulator's wall-clock throughput on the Figure 1
-// workload and its large-N scaling cells, writing the timings to
-// BENCH_core.json.
-//
-// Small cells (N=50..150) run twice in the same process — once on the
-// spatial-index fast path and once on the brute-force (pre-index) hot
-// path — verifying the two produce bit-for-bit identical results. Scale
-// cells (N=1000 at Figure-1 density, N=10000 at constant per-node area)
-// run on the fast path only: the O(N²) brute oracle is prohibitive
-// there by design.
+// workload (N=50..150), its large-N scaling cells (N=1000 at Figure-1
+// density, N=10000 at constant per-node area) and the LBS backends,
+// writing the timings to BENCH_core.json. Result equality across
+// refactors is the job of the result-digest table in internal/core,
+// not of this program.
 //
 //	go run ./cmd/bench                        # default cells, writes BENCH_core.json
 //	go run ./cmd/bench -quick                 # N=50 only, for smoke runs
@@ -22,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -34,8 +29,8 @@ import (
 	"anongeo/internal/neighbor"
 )
 
-// Cell is one benchmark measurement: a configuration timed on the fast
-// path and, for small cells, on the brute-force oracle too.
+// Cell is one benchmark measurement: a configuration timed on the
+// simulator's hot path.
 type Cell struct {
 	Figure   string  `json:"figure"`
 	Protocol string  `json:"protocol"`
@@ -47,28 +42,17 @@ type Cell struct {
 	AreaW float64 `json:"area_w"`
 	AreaH float64 `json:"area_h"`
 
-	FastWallS  float64 `json:"fast_wall_s"`
-	BruteWallS float64 `json:"brute_wall_s,omitempty"`
-	// Speedup is brute wall time over fast wall time.
-	Speedup float64 `json:"speedup,omitempty"`
-	// SimPerWallFast is simulated seconds per wall-clock second on the
-	// fast path (and likewise for the brute path).
-	SimPerWallFast  float64 `json:"sim_per_wall_fast"`
-	SimPerWallBrute float64 `json:"sim_per_wall_brute,omitempty"`
-
-	// Parity records that the two runs' full Result structs were
-	// bit-for-bit identical; the program aborts if any cell disagrees.
-	Parity bool    `json:"parity"`
-	PDF    float64 `json:"pdf"`
-	// BruteSkipped marks scale cells measured on the fast path only:
-	// the O(N²) brute path is prohibitive there, which is the point of
-	// the spatial index. Brute timings and parity are absent for them.
-	BruteSkipped bool `json:"brute_skipped,omitempty"`
+	FastWallS float64 `json:"fast_wall_s"`
+	// SimPerWallFast is simulated seconds per wall-clock second.
+	SimPerWallFast float64 `json:"sim_per_wall_fast"`
+	PDF            float64 `json:"pdf"`
 }
 
-// Report is the BENCH_core.json document. Schema 2 adds gomaxprocs and
-// scheduler (baselines are only comparable when both match), the arena
-// fields, and the N=10000 constant-density scale cells.
+// Report is the BENCH_core.json document. Schema 2 adds gomaxprocs, the
+// arena fields, and the N=10000 constant-density scale cells. Baselines
+// written before the brute-force radio and the heap scheduler were
+// retired also carry brute_*, speedup, parity, brute_skipped and
+// scheduler fields; decoding ignores them.
 type Report struct {
 	Schema    string `json:"schema"`
 	CreatedAt string `json:"created_at"`
@@ -79,11 +63,8 @@ type Report struct {
 	// GOMAXPROCS is the scheduler width the run executed under; the
 	// simulator is single-threaded per run, but GC assist and the Go
 	// runtime background work still scale with it.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Scheduler is the event-queue implementation timed: "calendar"
-	// (default) or "heap" (the parity oracle, via -scheduler heap).
-	Scheduler string `json:"scheduler"`
-	Cells     []Cell `json:"cells"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Cells      []Cell `json:"cells"`
 }
 
 func fig1aConfig(proto core.Protocol, nodes int, seed int64) core.Config {
@@ -112,47 +93,13 @@ func scaleConfig(proto core.Protocol, nodes int, seed int64) core.Config {
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
-// timePair times one cell on both hot paths: a discarded warmup of each
-// (so neither pays first-touch allocator costs), then reps timed runs
-// with the two paths interleaved — background load then lands on both
-// sides rather than corrupting one path's whole block — reporting each
-// side's minimum, the standard low-noise estimator. A forced collection
-// before every timed run keeps one run's garbage from being billed to
-// the next.
-func timePair(fastCfg, bruteCfg core.Config, reps int) (fast, brute core.Result, fastS, bruteS float64, err error) {
-	if fast, err = core.Run(fastCfg); err != nil {
-		return
-	}
-	if brute, err = core.Run(bruteCfg); err != nil {
-		return
-	}
-	fastS, bruteS = math.Inf(1), math.Inf(1)
-	for r := 0; r < reps; r++ {
-		runtime.GC()
-		start := time.Now()
-		if fast, err = core.Run(fastCfg); err != nil {
-			return
-		}
-		if s := time.Since(start).Seconds(); s < fastS {
-			fastS = s
-		}
-		runtime.GC()
-		start = time.Now()
-		if brute, err = core.Run(bruteCfg); err != nil {
-			return
-		}
-		if s := time.Since(start).Seconds(); s < bruteS {
-			bruteS = s
-		}
-	}
-	return
-}
-
-// timeFast times one cell on the fast path alone: a discarded warmup,
-// then reps timed runs, reporting the minimum like timePair. With
-// warmup false the first (cold) run is the measurement — for cells so
-// large that a second run doubles total bench time for little noise
-// reduction.
+// timeFast times one cell: a discarded warmup (so the timed runs pay no
+// first-touch allocator costs), then reps timed runs, reporting the
+// minimum, the standard low-noise estimator. A forced collection before
+// every timed run keeps one run's garbage from being billed to the
+// next. With warmup false the first (cold) run is the measurement — for
+// cells so large that a second run doubles total bench time for little
+// noise reduction.
 func timeFast(cfg core.Config, reps int, warmup bool) (res core.Result, wallS float64, err error) {
 	wallS = math.Inf(1)
 	if warmup {
@@ -177,8 +124,7 @@ func main() {
 	out := flag.String("out", "BENCH_core.json", "output path")
 	quick := flag.Bool("quick", false, "run only the N=50 small cells")
 	cells := flag.String("cells", "small,scale1k,scale10k,lbs", "comma-separated cell groups: small | scale1k | scale10k | lbs")
-	reps := flag.Int("reps", 5, "timed repetitions per cell and path (minimum is reported)")
-	scheduler := flag.String("scheduler", "calendar", "event scheduler to time: calendar | heap")
+	reps := flag.Int("reps", 5, "timed repetitions per cell (minimum is reported)")
 	gatePath := flag.String("gate", "", "baseline BENCH_core.json: compare sim_per_wall_fast per cell and fail on regression beyond -gate-threshold")
 	gateThreshold := flag.Float64("gate-threshold", 0.15, "fractional throughput loss tolerated by -gate")
 	handicap := flag.Float64("handicap", 1, "deflate measured throughput by this factor in the -gate comparison only (gate self-test)")
@@ -204,15 +150,6 @@ func main() {
 	if *quick {
 		groups = map[string]bool{"small": true}
 	}
-	useHeap := false
-	switch *scheduler {
-	case "calendar":
-	case "heap":
-		useHeap = true
-	default:
-		fatal(fmt.Errorf("unknown -scheduler %q (want calendar or heap)", *scheduler))
-	}
-
 	densities := []int{50, 112, 150}
 	if *quick {
 		densities = []int{50}
@@ -228,54 +165,39 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scheduler:  *scheduler,
 	}
 
 	if groups["small"] {
 		for _, proto := range protos {
 			for _, n := range densities {
-				fastCfg := fig1aConfig(proto, n, seed)
-				fastCfg.HeapScheduler = useHeap
-				bruteCfg := fastCfg
-				bruteCfg.BruteForceRadio = true
-
-				fast, brute, fastS, bruteS, err := timePair(fastCfg, bruteCfg, *reps)
+				cfg := fig1aConfig(proto, n, seed)
+				res, wallS, err := timeFast(cfg, *reps, true)
 				if err != nil {
 					fatal(err)
 				}
-				if !reflect.DeepEqual(fast, brute) {
-					fatal(fmt.Errorf("parity violation: %s N=%d fast and brute results differ", proto, n))
-				}
-				simS := fastCfg.Duration.Seconds()
+				simS := cfg.Duration.Seconds()
 				c := Cell{
-					Figure:          "1a",
-					Protocol:        proto.String(),
-					Nodes:           n,
-					Seed:            seed,
-					SimSecs:         simS,
-					AreaW:           fastCfg.Area.Width(),
-					AreaH:           fastCfg.Area.Height(),
-					FastWallS:       round(fastS),
-					BruteWallS:      round(bruteS),
-					Speedup:         round(bruteS / fastS),
-					SimPerWallFast:  round(simS / fastS),
-					SimPerWallBrute: round(simS / bruteS),
-					Parity:          true,
-					PDF:             round(fast.Summary.DeliveryFraction),
+					Figure:         "1a",
+					Protocol:       proto.String(),
+					Nodes:          n,
+					Seed:           seed,
+					SimSecs:        simS,
+					AreaW:          cfg.Area.Width(),
+					AreaH:          cfg.Area.Height(),
+					FastWallS:      round(wallS),
+					SimPerWallFast: round(simS / wallS),
+					PDF:            round(res.Summary.DeliveryFraction),
 				}
 				rep.Cells = append(rep.Cells, c)
-				fmt.Printf("%-12s N=%-5d fast %7.3fs  brute %7.3fs  speedup %5.2f×  (%6.0f sim-s/wall-s, pdf %.3f)\n",
-					proto, n, c.FastWallS, c.BruteWallS, c.Speedup, c.SimPerWallFast, c.PDF)
+				fmt.Printf("%-12s N=%-5d %7.3fs  (%6.0f sim-s/wall-s, pdf %.3f)\n",
+					proto, n, c.FastWallS, c.SimPerWallFast, c.PDF)
 			}
 		}
 	}
 
-	// Scale cells, fast path only: at these N the O(N²) brute path is
-	// the problem the spatial index exists to avoid, so the brute
-	// pairing (and with it in-process parity) is skipped by design.
-	// scale1k keeps the Figure-1 arena — 20× the paper's density, an
-	// interference stress test. scale10k grows the arena to hold
-	// density constant — a fleet-size stress test.
+	// Scale cells: scale1k keeps the Figure-1 arena — 20× the paper's
+	// density, an interference stress test. scale10k grows the arena to
+	// hold density constant — a fleet-size stress test.
 	type scaleCell struct {
 		group  string
 		figure string
@@ -310,7 +232,6 @@ func main() {
 	}
 	for _, sc := range scales {
 		cfg := sc.cfg()
-		cfg.HeapScheduler = useHeap
 		res, wallS, err := timeFast(cfg, sc.reps, sc.warmup)
 		if err != nil {
 			fatal(err)
@@ -327,18 +248,16 @@ func main() {
 			FastWallS:      round(wallS),
 			SimPerWallFast: round(simS / wallS),
 			PDF:            round(res.Summary.DeliveryFraction),
-			BruteSkipped:   true,
 		}
 		rep.Cells = append(rep.Cells, c)
-		fmt.Printf("%-12s N=%-5d fast %7.3fs  brute  skipped  (%6.0f sim-s/wall-s, pdf %.3f)\n",
+		fmt.Printf("%-12s N=%-5d %7.3fs  (%6.0f sim-s/wall-s, pdf %.3f)\n",
 			sc.proto, sc.nodes, c.FastWallS, c.SimPerWallFast, c.PDF)
 	}
 
 	// LBS query-serving throughput, one cell per anonymization backend at
 	// its default parameter. Figure "lbs" keys these cells in the gate;
 	// Protocol carries the backend, Nodes the client population, and PDF
-	// the answered fraction. There is no brute pairing — the workload has
-	// one implementation per backend.
+	// the answered fraction.
 	if groups["lbs"] {
 		for _, b := range lbs.Backends() {
 			cfg := lbsBenchConfig(b)
@@ -358,10 +277,9 @@ func main() {
 				FastWallS:      round(wallS),
 				SimPerWallFast: round(simS / wallS),
 				PDF:            round(float64(res.Answered) / float64(res.Queries)),
-				BruteSkipped:   true,
 			}
 			rep.Cells = append(rep.Cells, c)
-			fmt.Printf("lbs/%-8s N=%-5d fast %7.3fs  brute  skipped  (%6.0f sim-s/wall-s, answered %.3f)\n",
+			fmt.Printf("lbs/%-8s N=%-5d %7.3fs  (%6.0f sim-s/wall-s, answered %.3f)\n",
 				b, cfg.Clients, c.FastWallS, c.SimPerWallFast, c.PDF)
 		}
 	}
@@ -407,9 +325,6 @@ func gate(rep Report, basePath string, threshold, handicap float64) error {
 	var base Report
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("gate: parsing %s: %w", basePath, err)
-	}
-	if base.Scheduler != "" && base.Scheduler != rep.Scheduler {
-		return fmt.Errorf("gate: baseline timed the %q scheduler, this run timed %q", base.Scheduler, rep.Scheduler)
 	}
 	type key struct {
 		figure, proto string

@@ -137,12 +137,6 @@ type Config struct {
 	// keys are unchanged.
 	Faults *fault.Plan `json:",omitempty"`
 
-	// legacyFaults routes LossRate/ChurnFailures through the pre-plan
-	// wiring instead of compiling them to a fault.Plan. Unexported and
-	// test-only: it is the oracle the back-compat parity test compares
-	// the plan path against (same trick as BruteForceRadio).
-	legacyFaults bool
-
 	// TrustRelay arms trust-aware relaying in whichever router the
 	// scenario runs: per-neighbor forwarding-evidence scores (watchdog
 	// overhearing for GPSR, ARQ outcomes for AGFW), position-plausibility
@@ -178,21 +172,6 @@ type Config struct {
 
 	// WithSniffer attaches a global eavesdropper and returns its harvest.
 	WithSniffer bool
-
-	// BruteForceRadio disables the channel's spatial index and the
-	// waypoint leg memo, restoring the original O(n)-per-transmission hot
-	// path. Results are bit-for-bit identical either way (the parity test
-	// asserts it); this switch exists so benchmarks can measure both paths
-	// in one process.
-	BruteForceRadio bool
-
-	// HeapScheduler selects the engine's original binary-heap event
-	// queue instead of the default calendar queue. Results are
-	// bit-for-bit identical either way (the scheduler parity test
-	// asserts it); this switch exists as the parity oracle and so
-	// benchmarks can time both queues. omitempty keeps experiment
-	// cache keys unchanged for the default.
-	HeapScheduler bool `json:",omitempty"`
 
 	// MaxEvents guards against runaway scenarios (0 = default guard).
 	MaxEvents uint64

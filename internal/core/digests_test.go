@@ -22,7 +22,13 @@ import (
 // mean bit-for-bit equal results; this table is the regression
 // reference for any change to the simulator's hot paths.
 //
-// When an intended change moves results, TestResultDigests prints the
+// Every core cell was checked, when the table was pinned, on the
+// brute-force radio, the binary-heap scheduler and (for cells without a
+// fault plan) the pre-plan fault wiring as well as on the default path;
+// all agreed. Those implementations are gone; matching the table is
+// matching them.
+//
+// When an intended change moves results, the failing test prints the
 // full recomputed table; paste it here after checking that the moved
 // cells are the ones the change should move.
 //
@@ -103,9 +109,10 @@ type digestCell struct {
 //   - fig1: the paper's Figure 1 grid at 15 sim-s (GPSR, AGFW,
 //     AGFW-noACK × N 50/100/150 × seeds 1, 2);
 //   - parity: the 60 s Figure 1 cells the spatial-index and scheduler
-//     rewrites were proven on;
+//     rewrites were proven on (TestSpatialIndexParity,
+//     TestSchedulerParity);
 //   - legacy: the LossRate/ChurnFailures knob cells the fault-plan
-//     rewrite was proven on;
+//     rewrite was proven on (TestLegacyFaultKnobsParity);
 //   - policy: AGFW under each ANT next-hop policy;
 //   - chaos: one cell per fault axis, each protocol;
 //   - defended: perfbench's attack × protocol set with TrustRelay, and
@@ -143,7 +150,18 @@ func digestCells() []digestCell {
 		}
 	}
 
-	for _, c := range legacyCells() {
+	for _, c := range []struct {
+		name   string
+		proto  Protocol
+		mutate func(*Config)
+	}{
+		{"agfw-loss", ProtoAGFW, func(c *Config) { c.LossRate = 0.15 }},
+		{"gpsr-churn", ProtoGPSR, func(c *Config) { c.ChurnFailures = 10; c.ChurnDownFor = 20 * time.Second }},
+		{"noack-loss-churn", ProtoAGFWNoAck, func(c *Config) {
+			c.LossRate = 0.1
+			c.ChurnFailures = 5
+		}},
+	} {
 		cfg := fig1Config(c.proto, 50, 1)
 		c.mutate(&cfg)
 		add("legacy/"+c.name, c.name == "agfw-loss", cfg)
@@ -231,25 +249,6 @@ func digestCells() []digestCell {
 	return cells
 }
 
-// legacyCell is one Figure 1 cell driven through the legacy
-// LossRate/ChurnFailures knobs.
-type legacyCell struct {
-	name   string
-	proto  Protocol
-	mutate func(*Config)
-}
-
-func legacyCells() []legacyCell {
-	return []legacyCell{
-		{"agfw-loss", ProtoAGFW, func(c *Config) { c.LossRate = 0.15 }},
-		{"gpsr-churn", ProtoGPSR, func(c *Config) { c.ChurnFailures = 10; c.ChurnDownFor = 20 * time.Second }},
-		{"noack-loss-churn", ProtoAGFWNoAck, func(c *Config) {
-			c.LossRate = 0.1
-			c.ChurnFailures = 5
-		}},
-	}
-}
-
 // digestOf runs cfg and returns its result digest.
 func digestOf(cfg Config) (string, error) {
 	res, err := Run(cfg)
@@ -272,7 +271,7 @@ func digestJSON(v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// digest runs the cell on the default path.
+// digest runs the cell.
 func (c digestCell) digest() (string, error) {
 	if c.lbs != nil {
 		res, err := lbs.Run(*c.lbs)
@@ -282,19 +281,6 @@ func (c digestCell) digest() (string, error) {
 		return digestJSON(res), nil
 	}
 	return digestOf(c.core)
-}
-
-// oldPaths are the pre-rewrite implementations each core cell is also
-// run on; all must reproduce the pinned digest. apply reports false for
-// a config the old path cannot run: the legacy fault wiring predates
-// fault plans.
-var oldPaths = []struct {
-	name  string
-	apply func(*Config) bool
-}{
-	{"brute-force radio", func(c *Config) bool { c.BruteForceRadio = true; return true }},
-	{"heap scheduler", func(c *Config) bool { c.HeapScheduler = true; return true }},
-	{"legacy fault wiring", func(c *Config) bool { c.legacyFaults = true; return c.Faults == nil }},
 }
 
 // digestMemo caches digests by cell label within one test binary run:
@@ -332,22 +318,6 @@ func checkDigests(t *testing.T, prefix string) {
 			got := cellDigest(t, c)
 			if want := resultDigests[c.label]; got != want {
 				t.Errorf("%s: result digest %.16s, table has %.16s", c.label, got, want)
-			}
-			if c.lbs != nil {
-				return
-			}
-			for _, p := range oldPaths {
-				cfg := c.core
-				if !p.apply(&cfg) {
-					continue
-				}
-				old, err := digestOf(cfg)
-				if err != nil {
-					t.Fatalf("%s on the %s: %v", c.label, p.name, err)
-				}
-				if old != got {
-					t.Errorf("%s: the %s gives digest %.16s, the default path %.16s", c.label, p.name, old, got)
-				}
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -26,105 +25,19 @@ func fig1Config(proto Protocol, nodes int, seed int64) Config {
 	return cfg
 }
 
-// TestSpatialIndexParity is the tentpole's acceptance gate: on full
-// Figure 1 configurations, the spatial-index fast path and the original
-// brute-force path must produce bit-for-bit identical results — the
-// whole Result struct, which covers metrics.Summary, radio.Stats, and
-// the per-protocol counters — for every (protocol, density, seed) cell.
-//
-// The brute-force run also disables the waypoint leg memo, so what it
-// executes is exactly the pre-index hot path; any ordering or RNG drift
-// introduced by the index, the pooled arrival bookkeeping, or the memo
-// would show up as a diverging counter somewhere in the struct.
+// TestSpatialIndexParity holds the spatial-index radio to the results
+// of the brute-force O(n) scan it replaced, on full Figure 1
+// configurations: the pinned digests of the "parity" cells were
+// recorded with both paths agreeing bit for bit.
 func TestSpatialIndexParity(t *testing.T) {
-	type cell struct {
-		proto Protocol
-		nodes int
-	}
-	cells := []cell{
-		{ProtoGPSR, 50},
-		{ProtoGPSR, 150},
-		{ProtoAGFW, 50},
-		{ProtoAGFW, 150},
-	}
-	seeds := []int64{1, 2}
-	if testing.Short() {
-		cells = []cell{{ProtoGPSR, 50}, {ProtoAGFW, 50}}
-		seeds = []int64{1}
-	}
-	for _, c := range cells {
-		for _, seed := range seeds {
-			t.Run(c.proto.String()+"/"+strconv.Itoa(c.nodes)+"/seed"+strconv.FormatInt(seed, 10), func(t *testing.T) {
-				fastCfg := fig1Config(c.proto, c.nodes, seed)
-				bruteCfg := fastCfg
-				bruteCfg.BruteForceRadio = true
-
-				fast, err := Run(fastCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				brute, err := Run(bruteCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fast, brute) {
-					t.Errorf("fast and brute-force results diverge:\nfast:  %+v\nbrute: %+v", fast, brute)
-				}
-				if fast.Summary.Sent == 0 {
-					t.Fatal("no traffic generated; parity check is vacuous")
-				}
-			})
-		}
-	}
+	checkDigests(t, "parity/")
 }
 
-// TestSchedulerParity holds the calendar queue to the same standard: on
-// full Figure 1 configurations the calendar-queue scheduler (the
-// default) and the binary-heap scheduler it replaced must produce
-// bit-for-bit identical Results. The schedulers only reorder equal-time
-// work if one of them is buggy — both contract to FIFO within a
-// timestamp — so any divergence here is a scheduler defect, not an
-// acceptable tolerance.
+// TestSchedulerParity holds the calendar-queue scheduler to the results
+// of the binary heap it replaced, on the same cells: their pinned
+// digests were recorded with both schedulers agreeing bit for bit.
 func TestSchedulerParity(t *testing.T) {
-	type cell struct {
-		proto Protocol
-		nodes int
-	}
-	cells := []cell{
-		{ProtoGPSR, 50},
-		{ProtoGPSR, 150},
-		{ProtoAGFW, 50},
-		{ProtoAGFW, 150},
-	}
-	seeds := []int64{1, 2}
-	if testing.Short() {
-		cells = []cell{{ProtoGPSR, 50}, {ProtoAGFW, 50}}
-		seeds = []int64{1}
-	}
-	for _, c := range cells {
-		for _, seed := range seeds {
-			t.Run(c.proto.String()+"/"+strconv.Itoa(c.nodes)+"/seed"+strconv.FormatInt(seed, 10), func(t *testing.T) {
-				calCfg := fig1Config(c.proto, c.nodes, seed)
-				heapCfg := calCfg
-				heapCfg.HeapScheduler = true
-
-				cal, err := Run(calCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				heap, err := Run(heapCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(cal, heap) {
-					t.Errorf("calendar and heap scheduler results diverge:\ncalendar: %+v\nheap:     %+v", cal, heap)
-				}
-				if cal.Summary.Sent == 0 {
-					t.Fatal("no traffic generated; parity check is vacuous")
-				}
-			})
-		}
-	}
+	checkDigests(t, "parity/")
 }
 
 // TestSweepWidthParity spot-checks that sweep results are independent of

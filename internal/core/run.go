@@ -100,9 +100,6 @@ func Build(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	if cfg.HeapScheduler {
-		eng.UseHeapScheduler()
-	}
 	eng.MaxEvents = cfg.MaxEvents
 	if eng.MaxEvents == 0 {
 		eng.MaxEvents = 2_000_000_000
@@ -113,15 +110,11 @@ func Build(cfg Config) (*Network, error) {
 		cs = 2.2 * cfg.RadioRange
 	}
 	ch.SetCarrierSenseRange(cs)
-	if cfg.BruteForceRadio {
-		ch.SetBruteForce(true)
-	} else {
-		maxSpeed := cfg.MaxSpeed
-		if cfg.Static {
-			maxSpeed = 0
-		}
-		ch.EnableSpatialIndex(cfg.Area, maxSpeed)
+	maxSpeed := cfg.MaxSpeed
+	if cfg.Static {
+		maxSpeed = 0
 	}
+	ch.EnableSpatialIndex(cfg.Area, maxSpeed)
 	col := metrics.NewCollector()
 	n := &Network{
 		Cfg:       cfg,
@@ -201,11 +194,7 @@ func Build(cfg Config) (*Network, error) {
 				Pause:    sim.Time(cfg.Pause),
 				Start:    start,
 			}
-			wp := mobility.NewWaypoint(wcfg, mobRng)
-			if cfg.BruteForceRadio {
-				wp.DisableLegMemo()
-			}
-			mob = wp
+			mob = mobility.NewWaypoint(wcfg, mobRng)
 		}
 
 		node := &Node{Index: i, ID: id, Mob: mob}
@@ -288,16 +277,7 @@ func Build(cfg Config) (*Network, error) {
 		n.byID[id] = node
 	}
 
-	if cfg.legacyFaults {
-		// Pre-fault-plan wiring, kept verbatim as the oracle the
-		// back-compat parity test compares the plan path against.
-		if cfg.LossRate > 0 {
-			ch.SetLossRate(cfg.LossRate)
-		}
-		if cfg.ChurnFailures > 0 {
-			n.scheduleChurn()
-		}
-	} else if err := n.installFaults(); err != nil {
+	if err := n.installFaults(); err != nil {
 		return nil, err
 	}
 
@@ -325,35 +305,6 @@ func Build(cfg Config) (*Network, error) {
 	n.Gen = gen
 	gen.Start()
 	return n, nil
-}
-
-// scheduleChurn arms the configured node failures: distinct random nodes
-// go radio-dark for ChurnDownFor at random instants inside the traffic
-// window, then come back.
-func (n *Network) scheduleChurn() {
-	cfg := n.Cfg
-	downFor := cfg.ChurnDownFor
-	if downFor <= 0 {
-		downFor = 30 * time.Second
-	}
-	rng := n.Eng.NewStream()
-	count := cfg.ChurnFailures
-	if count > cfg.Nodes {
-		count = cfg.Nodes
-	}
-	perm := rng.Perm(cfg.Nodes)[:count]
-	window := cfg.Duration - cfg.Warmup - downFor
-	if window <= 0 {
-		window = cfg.Duration / 2
-	}
-	for _, idx := range perm {
-		node := n.Nodes[idx]
-		at := cfg.Warmup + time.Duration(rng.Float64()*float64(window))
-		n.Eng.Schedule(at, func() {
-			node.MAC.SetDown(true)
-			n.Eng.Schedule(downFor, func() { node.MAC.SetDown(false) })
-		})
-	}
 }
 
 // Lookup is the perfect location oracle standing in for the location

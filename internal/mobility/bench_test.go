@@ -10,7 +10,8 @@ import (
 )
 
 // benchPositionAt queries a waypoint model at mostly-advancing times —
-// the channel's access pattern — with the last-hit leg memo on or off.
+// the channel's access pattern — through the last-hit leg memo or the
+// memo-free binary search.
 func benchPositionAt(b *testing.B, memo bool) {
 	arena := geo.NewRect(1500, 300)
 	rng := rand.New(rand.NewSource(1))
@@ -21,15 +22,16 @@ func benchPositionAt(b *testing.B, memo bool) {
 		Pause:    sim.Second,
 		Start:    RandomStart(arena, rng),
 	}, rng)
-	if !memo {
-		w.DisableLegMemo()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink geo.Point
 	for i := 0; i < b.N; i++ {
 		t := sim.Time(i%60000) * sim.Time(time.Millisecond)
-		sink = w.PositionAt(t)
+		if memo {
+			sink = w.PositionAt(t)
+		} else {
+			sink = searchPositionAt(w, t)
+		}
 	}
 	_ = sink
 }

@@ -2,15 +2,27 @@ package mobility
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"anongeo/internal/geo"
 	"anongeo/internal/sim"
 )
 
+// searchPositionAt is the memo-free reference lookup: binary search the
+// leg containing t, touching no memo state.
+func searchPositionAt(w *Waypoint, t sim.Time) geo.Point {
+	if t < 0 {
+		t = 0
+	}
+	w.extendTo(t)
+	i := sort.Search(len(w.legs), func(i int) bool { return w.legs[i].depart > t })
+	return legPos(&w.legs[i], t)
+}
+
 // newTestPair builds two waypoint models with identical trajectories
-// (same seed), one memoized and one with the seed's binary-search-only
-// lookup.
+// (same seed): one queried through PositionAt's memo, one through
+// searchPositionAt.
 func newTestPair(seed int64) (memo, plain *Waypoint) {
 	cfg := WaypointConfig{
 		Bounds:   geo.NewRect(1500, 300),
@@ -21,7 +33,6 @@ func newTestPair(seed int64) (memo, plain *Waypoint) {
 	}
 	memo = NewWaypoint(cfg, rand.New(rand.NewSource(seed)))
 	plain = NewWaypoint(cfg, rand.New(rand.NewSource(seed)))
-	plain.DisableLegMemo()
 	return memo, plain
 }
 
@@ -51,7 +62,7 @@ func TestLegMemoMatchesSearch(t *testing.T) {
 
 		for k, ti := range times {
 			got := memo.PositionAt(ti)
-			want := plain.PositionAt(ti)
+			want := searchPositionAt(plain, ti)
 			if got != want {
 				t.Fatalf("seed %d query %d: PositionAt(%v) = %v with memo, %v without",
 					seed, k, ti, got, want)
@@ -63,7 +74,7 @@ func TestLegMemoMatchesSearch(t *testing.T) {
 // TestLegMemoNegativeTime pins the t<0 clamp through the memo path.
 func TestLegMemoNegativeTime(t *testing.T) {
 	memo, plain := newTestPair(9)
-	if got, want := memo.PositionAt(-sim.Second), plain.PositionAt(-sim.Second); got != want {
+	if got, want := memo.PositionAt(-sim.Second), searchPositionAt(plain, -sim.Second); got != want {
 		t.Fatalf("PositionAt(-1s) = %v with memo, %v without", got, want)
 	}
 }

@@ -86,9 +86,6 @@ type Waypoint struct {
 	// re-checking the cached leg (and its successor) turns the common
 	// case into O(1) and leaves the binary search as the slow path.
 	lastLeg int
-	// noMemo restores the seed's pure binary-search lookup; only the
-	// brute-force benchmark baseline sets it (see DisableLegMemo).
-	noMemo bool
 }
 
 var _ Model = (*Waypoint)(nil)
@@ -187,30 +184,22 @@ func (w *Waypoint) extendTo(t sim.Time) {
 	}
 }
 
-// DisableLegMemo restores the seed's binary-search-only PositionAt
-// lookup. The memo never changes returned positions (the pinned-leg
-// test asserts as much); this switch exists so the brute-force baseline
-// in cmd/bench measures the full pre-index hot path.
-func (w *Waypoint) DisableLegMemo() { w.noMemo = true }
-
 // PositionAt implements Model.
 func (w *Waypoint) PositionAt(t sim.Time) geo.Point {
 	if t < 0 {
 		t = 0
 	}
 	w.extendTo(t)
-	if !w.noMemo {
-		// Fast path: t usually lands on the memoized leg or the next one.
-		if i := w.lastLeg; i < len(w.legs) {
-			if l := &w.legs[i]; l.depart > t {
-				if i == 0 || w.legs[i-1].depart <= t {
-					return legPos(l, t)
-				}
-			} else if i+1 < len(w.legs) {
-				if l2 := &w.legs[i+1]; l2.depart > t {
-					w.lastLeg = i + 1
-					return legPos(l2, t)
-				}
+	// Fast path: t usually lands on the memoized leg or the next one.
+	if i := w.lastLeg; i < len(w.legs) {
+		if l := &w.legs[i]; l.depart > t {
+			if i == 0 || w.legs[i-1].depart <= t {
+				return legPos(l, t)
+			}
+		} else if i+1 < len(w.legs) {
+			if l2 := &w.legs[i+1]; l2.depart > t {
+				w.lastLeg = i + 1
+				return legPos(l2, t)
 			}
 		}
 	}

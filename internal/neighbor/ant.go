@@ -124,58 +124,67 @@ func (a *ANT) Entries(now sim.Time) []ANTEntry {
 }
 
 // ChooseNextHop returns the pseudonym to relay through for a packet bound
-// to dest, from a node at from, under the given policy. ok is false when
-// no live entry improves on from (greedy local maximum).
+// to dest, from a node at from, skipping the pseudonyms in exclude — the
+// retransmission path routes around a relay that failed to acknowledge,
+// the ANT analog of GPSR's MAC-feedback neighbor eviction. ok is false
+// when no live entry improves on from (greedy local maximum).
+//
+// A nil tr is neutral trust, and policy picks among the candidates. A
+// trust table skips quarantined pseudonyms and scales each candidate's
+// staleness-discounted progress by its trust score, so relays that
+// failed to produce forwarding evidence lose selection to honest ones;
+// the ranking is then PolicyWeighted's, whatever policy says, since
+// trust is a weight on progress. Candidates below the shun threshold
+// are used only when nothing clears the bar. Because pseudonyms rotate
+// every hello, a score or quarantine lives at most one neighbor TTL —
+// the anonymity/attribution tension the paper's threat model accepts;
+// within that window the ARQ interacts with a relay several times,
+// which is enough to isolate it.
 //
 // Selection is fully deterministic: every policy falls through a total
 // tie-break order ending at the pseudonym bytes, so simulation runs do
 // not depend on map iteration order.
-func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy) (ANTEntry, bool) {
-	return a.ChooseNextHopExcluding(dest, from, now, policy, nil)
-}
-
-// ChooseNextHopExcluding is ChooseNextHop skipping the given pseudonyms —
-// the retransmission path uses it to route around a relay that failed to
-// acknowledge, the ANT analog of GPSR's MAC-feedback neighbor eviction.
-func (a *ANT) ChooseNextHopExcluding(dest, from geo.Point, now sim.Time, policy Policy, exclude map[anoncrypto.Pseudonym]bool) (ANTEntry, bool) {
+func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy, exclude map[anoncrypto.Pseudonym]bool, tr *Trust) (ANTEntry, bool) {
+	if tr != nil {
+		policy = PolicyWeighted
+	}
 	myD := from.Dist(dest)
-	var best ANTEntry
-	var bestD, bestScore float64
-	found := false
-
-	better := func(e ANTEntry, d, score float64) bool {
-		if !found {
-			return true
-		}
+	type cand struct {
+		e     ANTEntry
+		d     float64
+		score float64 // progress minus staleness, trust-weighted
+	}
+	var best, bestAny cand
+	found, foundAny := false, false
+	better := func(x, y cand) bool {
 		switch policy {
 		case PolicyFreshest:
-			if e.Seen != best.Seen {
-				return e.Seen > best.Seen
+			if x.e.Seen != y.e.Seen {
+				return x.e.Seen > y.e.Seen
 			}
-			if d != bestD {
-				return d < bestD
+			if x.d != y.d {
+				return x.d < y.d
 			}
 		case PolicyWeighted:
-			if score != bestScore {
-				return score > bestScore
+			if x.score != y.score {
+				return x.score > y.score
 			}
-			if d != bestD {
-				return d < bestD
+			if x.d != y.d {
+				return x.d < y.d
 			}
-			if e.Seen != best.Seen {
-				return e.Seen > best.Seen
+			if x.e.Seen != y.e.Seen {
+				return x.e.Seen > y.e.Seen
 			}
 		default: // PolicyClosest
-			if d != bestD {
-				return d < bestD
+			if x.d != y.d {
+				return x.d < y.d
 			}
-			if e.Seen != best.Seen {
-				return e.Seen > best.Seen
+			if x.e.Seen != y.e.Seen {
+				return x.e.Seen > y.e.Seen
 			}
 		}
-		return string(e.N[:]) < string(best.N[:])
+		return string(x.e.N[:]) < string(y.e.N[:])
 	}
-
 	for i := a.head; i < len(a.entries); i++ {
 		e := a.entries[i]
 		if now-e.Seen > a.ttl {
@@ -191,82 +200,24 @@ func (a *ANT) ChooseNextHopExcluding(dest, from geo.Point, now sim.Time, policy 
 		if d >= myD {
 			continue // not an improvement; greedy never goes backward
 		}
-		score := (myD - d) - a.maxSpeed*e.Age(now).Seconds()
-		if better(e, d, score) {
-			best, bestD, bestScore, found = e, d, score, true
+		c := cand{e: e, d: d, score: (myD - d) - a.maxSpeed*e.Age(now).Seconds()}
+		shunned := false
+		if tr != nil {
+			key := string(e.N[:])
+			if tr.Quarantined(key, now) {
+				continue
+			}
+			if c.score > 0 {
+				// Trust scales genuine progress; a non-progressing stale
+				// entry gains nothing from a good reputation.
+				c.score *= tr.Weight(key)
+			}
+			shunned = tr.Shunned(key)
 		}
-	}
-	return best, found
-}
-
-// ChooseNextHopTrusted is the trust-aware next hop choice: quarantined
-// pseudonyms are skipped, and each candidate's staleness-discounted
-// progress is weighted by its trust score, so relays that failed to
-// produce forwarding evidence lose selection to honest ones. Candidates
-// below the shun threshold are used only when nothing clears the bar.
-// Because pseudonyms rotate every hello, a score or quarantine lives at
-// most one neighbor TTL — the anonymity/attribution tension the paper's
-// threat model accepts; within that window the ARQ interacts with a
-// relay several times, which is enough to isolate it. The untrusted
-// choosers above are retained verbatim as the defense-off parity oracle.
-//
-// Selection remains fully deterministic: weighted progress, then
-// distance, then freshness, then the pseudonym bytes.
-func (a *ANT) ChooseNextHopTrusted(dest, from geo.Point, now sim.Time, exclude map[anoncrypto.Pseudonym]bool, tr *Trust) (ANTEntry, bool) {
-	myD := from.Dist(dest)
-	type cand struct {
-		e ANTEntry
-		w float64
-		d float64
-	}
-	var best, bestAny cand
-	found, foundAny := false, false
-	better := func(x, y cand) bool {
-		if x.w != y.w {
-			return x.w > y.w
-		}
-		if x.d != y.d {
-			return x.d < y.d
-		}
-		if x.e.Seen != y.e.Seen {
-			return x.e.Seen > y.e.Seen
-		}
-		return string(x.e.N[:]) < string(y.e.N[:])
-	}
-	for i := a.head; i < len(a.entries); i++ {
-		e := a.entries[i]
-		if now-e.Seen > a.ttl {
-			continue
-		}
-		if exclude[e.N] {
-			continue
-		}
-		if a.reach > 0 && from.Dist(e.Loc)+a.maxSpeed*e.Age(now).Seconds() > a.reach {
-			continue
-		}
-		d := e.Loc.Dist(dest)
-		if d >= myD {
-			continue
-		}
-		key := string(e.N[:])
-		if tr.Quarantined(key, now) {
-			continue
-		}
-		base := (myD - d) - a.maxSpeed*e.Age(now).Seconds()
-		w := base
-		if base > 0 {
-			// Trust scales genuine progress; a non-progressing stale
-			// entry gains nothing from a good reputation.
-			w = base * tr.Weight(key)
-		}
-		c := cand{e: e, w: w, d: d}
 		if !foundAny || better(c, bestAny) {
 			bestAny, foundAny = c, true
 		}
-		if tr.Shunned(key) {
-			continue
-		}
-		if !found || better(c, best) {
+		if !shunned && (!found || better(c, best)) {
 			best, found = c, true
 		}
 	}
@@ -274,7 +225,7 @@ func (a *ANT) ChooseNextHopTrusted(dest, from geo.Point, now sim.Time, exclude m
 		return best.e, true
 	}
 	if foundAny {
-		tr.Fallbacks++
+		tr.Fallbacks++ // only a trust table shuns
 		return bestAny.e, true
 	}
 	return ANTEntry{}, false

@@ -46,7 +46,7 @@ func TestTableClosestGreedy(t *testing.T) {
 	tb.Update("near", mac.AddrFromUint64(1), geo.Pt(100, 0), 0)
 	tb.Update("far", mac.AddrFromUint64(2), geo.Pt(200, 0), 0)
 	tb.Update("back", mac.AddrFromUint64(3), geo.Pt(-100, 0), 0)
-	e, ok := tb.Closest(dest, me, 0)
+	e, ok := tb.Closest(dest, me, 0, nil)
 	if !ok || e.ID != "far" {
 		t.Fatalf("Closest = %+v, %v; want far", e, ok)
 	}
@@ -57,7 +57,7 @@ func TestTableClosestLocalMaximum(t *testing.T) {
 	me := geo.Pt(500, 0)
 	dest := geo.Pt(1000, 0)
 	tb.Update("behind", mac.AddrFromUint64(1), geo.Pt(100, 0), 0)
-	if _, ok := tb.Closest(dest, me, 0); ok {
+	if _, ok := tb.Closest(dest, me, 0, nil); ok {
 		t.Fatal("greedy advanced backward")
 	}
 }
@@ -66,7 +66,7 @@ func TestTableClosestIgnoresStale(t *testing.T) {
 	tb := NewTable(ttl)
 	tb.Update("old", mac.AddrFromUint64(1), geo.Pt(900, 0), 0)
 	tb.Update("new", mac.AddrFromUint64(2), geo.Pt(600, 0), 9*sim.Second)
-	e, ok := tb.Closest(geo.Pt(1000, 0), geo.Pt(0, 0), 10*sim.Second)
+	e, ok := tb.Closest(geo.Pt(1000, 0), geo.Pt(0, 0), 10*sim.Second, nil)
 	if !ok || e.ID != "new" {
 		t.Fatalf("stale entry won: %+v %v", e, ok)
 	}
@@ -104,7 +104,7 @@ func TestANTChooseNextHopClosest(t *testing.T) {
 	n1, n2 := newPseudo(1), newPseudo(2)
 	a.Update(n1, geo.Pt(100, 0), 0)
 	a.Update(n2, geo.Pt(200, 0), 0)
-	e, ok := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 0, PolicyClosest)
+	e, ok := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 0, PolicyClosest, nil, nil)
 	if !ok || e.N != n2 {
 		t.Fatalf("ChooseNextHop = %+v %v, want n2", e, ok)
 	}
@@ -117,10 +117,10 @@ func TestANTChooseNextHopFreshest(t *testing.T) {
 	a.Update(stale, geo.Pt(240, 0), 0)
 	a.Update(fresh, geo.Pt(150, 0), 4*sim.Second)
 	now := sim.Time(4 * sim.Second)
-	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyClosest); e.N != stale {
+	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyClosest, nil, nil); e.N != stale {
 		t.Fatalf("PolicyClosest picked %v, want the stale-but-closer entry", e.N)
 	}
-	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyFreshest); e.N != fresh {
+	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyFreshest, nil, nil); e.N != fresh {
 		t.Fatalf("PolicyFreshest picked %v, want the fresher entry", e.N)
 	}
 }
@@ -133,14 +133,14 @@ func TestANTChooseNextHopWeighted(t *testing.T) {
 	a.Update(stale, geo.Pt(240, 0), 0)
 	a.Update(fresh, geo.Pt(150, 0), 4*sim.Second)
 	now := sim.Time(4 * sim.Second)
-	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyWeighted); e.N != stale {
+	if e, _ := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), now, PolicyWeighted, nil, nil); e.N != stale {
 		t.Fatalf("PolicyWeighted picked %v, want stale (160 > 150)", e.N)
 	}
 	// Make the stale entry much older: 10 s → 200 m discount → 40 < 150.
 	a2 := NewANT(ttl*10, 20)
 	a2.Update(stale, geo.Pt(240, 0), 0)
 	a2.Update(fresh, geo.Pt(150, 0), 10*sim.Second)
-	if e, _ := a2.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 10*sim.Second, PolicyWeighted); e.N != fresh {
+	if e, _ := a2.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 10*sim.Second, PolicyWeighted, nil, nil); e.N != fresh {
 		t.Fatalf("PolicyWeighted picked %v, want fresh (150 > 40)", e.N)
 	}
 }
@@ -148,7 +148,7 @@ func TestANTChooseNextHopWeighted(t *testing.T) {
 func TestANTNoImprovingNeighbor(t *testing.T) {
 	a := NewANT(ttl, 20)
 	a.Update(newPseudo(1), geo.Pt(-50, 0), 0)
-	if _, ok := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 0, PolicyClosest); ok {
+	if _, ok := a.ChooseNextHop(geo.Pt(1000, 0), geo.Pt(0, 0), 0, PolicyClosest, nil, nil); ok {
 		t.Fatal("chose a non-improving neighbor")
 	}
 }

@@ -32,7 +32,7 @@ func TestChooseNextHopAlwaysImproves(t *testing.T) {
 		from := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
 		dest := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
 		policy := Policy(policyRaw%3) + PolicyClosest
-		e, ok := a.ChooseNextHop(dest, from, now, policy)
+		e, ok := a.ChooseNextHop(dest, from, now, policy, nil, nil)
 		if !ok {
 			return true
 		}
@@ -53,7 +53,7 @@ func TestChooseNextHopHonorsExclusion(t *testing.T) {
 		// Exclude whatever would win, repeatedly; each winner must be new.
 		exclude := map[anoncrypto.Pseudonym]bool{}
 		for i := 0; i < 20; i++ {
-			e, ok := a.ChooseNextHopExcluding(dest, from, now, PolicyClosest, exclude)
+			e, ok := a.ChooseNextHop(dest, from, now, PolicyClosest, exclude, nil)
 			if !ok {
 				return true
 			}
@@ -78,7 +78,7 @@ func TestChooseNextHopReachFilterBound(t *testing.T) {
 		a.SetReachRange(250)
 		from := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
 		dest := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
-		e, ok := a.ChooseNextHop(dest, from, now, PolicyWeighted)
+		e, ok := a.ChooseNextHop(dest, from, now, PolicyWeighted, nil, nil)
 		if !ok {
 			return true
 		}
@@ -95,7 +95,7 @@ func TestChooseNextHopDeterministic(t *testing.T) {
 		build := func() (ANTEntry, bool) {
 			rng := rand.New(rand.NewSource(seed))
 			a, now := randomANT(rng, int(n%24), 20)
-			return a.ChooseNextHop(geo.Pt(1500, 150), geo.Pt(0, 150), now, Policy(policyRaw%3)+PolicyClosest)
+			return a.ChooseNextHop(geo.Pt(1500, 150), geo.Pt(0, 150), now, Policy(policyRaw%3)+PolicyClosest, nil, nil)
 		}
 		e1, ok1 := build()
 		e2, ok2 := build()
@@ -121,7 +121,7 @@ func TestTableClosestProperty(t *testing.T) {
 		}
 		from := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
 		dest := geo.Pt(rng.Float64()*1500, rng.Float64()*300)
-		e, ok := tb.Closest(dest, from, now)
+		e, ok := tb.Closest(dest, from, now, nil)
 		if !ok {
 			return true
 		}

@@ -307,57 +307,29 @@ func (t *Table) Expire(now sim.Time) {
 
 // Closest returns the live neighbor strictly closer to dest than from,
 // the greedy-forwarding criterion. ok is false at a local maximum.
-// Distance ties break deterministically by identity so the result does
-// not depend on table storage order. Comparisons are between squared
-// distances — an exact, hypot-free ordering of the true distances.
-func (t *Table) Closest(dest, from geo.Point, now sim.Time) (Entry, bool) {
-	myD2 := from.Dist2(dest)
-	best := Entry{}
-	bestD2 := 0.0
-	found := false
-	consider := func(e Entry) {
-		d2 := e.Loc.Dist2(dest)
-		if d2 >= myD2 {
-			return
-		}
-		if !found || d2 < bestD2 || (d2 == bestD2 && e.ID < best.ID) {
-			best, bestD2, found = e, d2, true
-		}
-	}
-	for v, lh := range t.lastHeard {
-		if !t.live(lh, now) {
-			continue
-		}
-		if e, ok := t.entryAt(uint32(v), lh-1); ok {
-			consider(e)
-		}
-	}
-	for _, e := range t.over {
-		if now-e.Seen <= t.ttl {
-			consider(e)
-		}
-	}
-	return best, found
-}
-
-// ClosestTrusted is the trust-aware variant of Closest: quarantined
-// neighbors are skipped outright, and among the remaining candidates
-// strictly closer to dest the winner maximizes trust-weighted progress
+//
+// A nil tr is neutral trust: the nearest candidate to dest wins, with
+// distances compared squared — an exact, hypot-free ordering of the
+// true distances. With a trust table, quarantined neighbors are skipped
+// outright, and the winner maximizes trust-weighted progress
 // score×(myD−d). Candidates scoring below the shun threshold lose to
 // any candidate at or above it and are used only as a last resort (a
 // suspect relay still beats a guaranteed dead-end drop). Tie-breaks are
 // total — weighted progress, then distance, then identity — so results
-// never depend on storage order. Closest itself is retained verbatim as
-// the defense-off parity oracle.
-func (t *Table) ClosestTrusted(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, bool) {
-	if tr == nil {
-		return t.Closest(dest, from, now)
+// never depend on table storage order.
+func (t *Table) Closest(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, bool) {
+	// The two distance scales are kept apart on purpose: trust weighs
+	// true distances, while the neutral path orders squared ones, and
+	// the two can round differently at a tie.
+	myD2 := from.Dist2(dest)
+	var myD float64
+	if tr != nil {
+		myD = from.Dist(dest)
 	}
-	myD := from.Dist(dest)
 	type cand struct {
 		e Entry
-		w float64 // trust-weighted progress
-		d float64
+		w float64 // trust-weighted progress; 0 under neutral trust
+		d float64 // distance to dest, squared under neutral trust
 	}
 	var best, bestAny cand
 	found, foundAny := false, false
@@ -371,22 +343,29 @@ func (t *Table) ClosestTrusted(dest, from geo.Point, now sim.Time, tr *Trust) (E
 		return a.e.ID < b.e.ID
 	}
 	consider := func(e Entry) {
-		d := e.Loc.Dist(dest)
-		if d >= myD {
-			return
+		c := cand{e: e}
+		shunned := false
+		if tr == nil {
+			c.d = e.Loc.Dist2(dest)
+			if c.d >= myD2 {
+				return
+			}
+		} else {
+			c.d = e.Loc.Dist(dest)
+			if c.d >= myD {
+				return
+			}
+			key := string(e.ID)
+			if tr.Quarantined(key, now) {
+				return
+			}
+			c.w = tr.Weight(key) * (myD - c.d)
+			shunned = tr.Shunned(key)
 		}
-		key := string(e.ID)
-		if tr.Quarantined(key, now) {
-			return
-		}
-		c := cand{e: e, w: tr.Weight(key) * (myD - d), d: d}
 		if !foundAny || better(c, bestAny) {
 			bestAny, foundAny = c, true
 		}
-		if tr.Shunned(key) {
-			return
-		}
-		if !found || better(c, best) {
+		if !shunned && (!found || better(c, best)) {
 			best, found = c, true
 		}
 	}
@@ -407,7 +386,7 @@ func (t *Table) ClosestTrusted(dest, from geo.Point, now sim.Time, tr *Trust) (E
 		return best.e, true
 	}
 	if foundAny {
-		tr.Fallbacks++
+		tr.Fallbacks++ // only a trust table shuns
 		return bestAny.e, true
 	}
 	return Entry{}, false

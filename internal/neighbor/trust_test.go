@@ -132,18 +132,18 @@ func TestTableClosestTrustedIsolatesGreyhole(t *testing.T) {
 	tb.Update("honest", mac.AddrFromUint64(2), geo.Pt(180, 0), 0)
 	tr := NewTrust(testTrustConfig())
 
-	if e, ok := tb.ClosestTrusted(dest, from, sim.Second, tr); !ok || e.ID != "attacker" {
+	if e, ok := tb.Closest(dest, from, sim.Second, tr); !ok || e.ID != "attacker" {
 		t.Fatalf("neutral trust pick = %+v, %v; want the best-progress entry", e, ok)
 	}
 	for i := 0; i < 3; i++ {
 		tr.Record("attacker", false, sim.Second)
 	}
-	if e, ok := tb.ClosestTrusted(dest, from, sim.Second, tr); !ok || e.ID != "honest" {
+	if e, ok := tb.Closest(dest, from, sim.Second, tr); !ok || e.ID != "honest" {
 		t.Fatalf("post-evidence pick = %+v, %v; want the honest entry", e, ok)
 	}
 	tb.Remove("honest")
 	fallbacks := tr.Fallbacks
-	if e, ok := tb.ClosestTrusted(dest, from, sim.Second, tr); !ok || e.ID != "attacker" {
+	if e, ok := tb.Closest(dest, from, sim.Second, tr); !ok || e.ID != "attacker" {
 		t.Fatalf("sole-candidate pick = %+v, %v; want the shunned fallback", e, ok)
 	}
 	if tr.Fallbacks != fallbacks+1 {
@@ -163,26 +163,26 @@ func TestANTTrustedIsolatesGreyhole(t *testing.T) {
 	ant.Update(honest, geo.Pt(180, 0), 0)
 	tr := NewTrust(testTrustConfig())
 
-	if e, ok := ant.ChooseNextHopTrusted(dest, from, sim.Second, nil, tr); !ok || e.N != attacker {
+	if e, ok := ant.ChooseNextHop(dest, from, sim.Second, PolicyClosest, nil, tr); !ok || e.N != attacker {
 		t.Fatalf("neutral trust pick = %+v, %v; want the best-progress entry", e, ok)
 	}
 	for i := 0; i < 3; i++ {
 		tr.Record(string(attacker[:]), false, sim.Second)
 	}
-	if e, ok := ant.ChooseNextHopTrusted(dest, from, sim.Second, nil, tr); !ok || e.N != honest {
+	if e, ok := ant.ChooseNextHop(dest, from, sim.Second, PolicyClosest, nil, tr); !ok || e.N != honest {
 		t.Fatalf("post-evidence pick = %+v, %v; want the honest entry", e, ok)
 	}
-	if e, ok := ant.ChooseNextHopTrusted(dest, from, sim.Second, map[anoncrypto.Pseudonym]bool{honest: true}, tr); !ok || e.N != attacker {
+	if e, ok := ant.ChooseNextHop(dest, from, sim.Second, PolicyClosest, map[anoncrypto.Pseudonym]bool{honest: true}, tr); !ok || e.N != attacker {
 		t.Fatalf("sole-candidate pick = %+v, %v; want the shunned fallback", e, ok)
 	}
 }
 
-// TestTrustedSelectionNeutralParity is the property test behind the
-// defense-off parity guarantee: with no recorded evidence (every key at
-// the uniform InitScore), trusted selection must agree with its
-// untrusted oracle on random tables — Closest for the identity table,
-// PolicyWeighted for the ANT (whose staleness-discounted ordering the
-// trusted chooser scales by the uniform score, preserving the argmax and
+// TestTrustedSelectionNeutralParity is the property test behind "nil
+// trust means neutral": with no recorded evidence (every key at the
+// uniform InitScore), selection through a trust table must agree with
+// nil-trust selection on random tables — for the identity table, and
+// for the ANT under PolicyWeighted (whose staleness-discounted ordering
+// the trust table scales by the uniform score, preserving the argmax and
 // the tie-break chain).
 func TestTrustedSelectionNeutralParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -209,16 +209,16 @@ func TestTrustedSelectionNeutralParity(t *testing.T) {
 		}
 
 		tr := NewTrust(testTrustConfig())
-		wantT, okT := tb.Closest(dest, from, now)
-		gotT, gokT := tb.ClosestTrusted(dest, from, now, tr)
+		wantT, okT := tb.Closest(dest, from, now, nil)
+		gotT, gokT := tb.Closest(dest, from, now, tr)
 		if okT != gokT || wantT != gotT {
-			t.Fatalf("trial %d: table parity broke: untrusted (%+v, %v) vs neutral-trusted (%+v, %v)",
+			t.Fatalf("trial %d: table parity broke: nil trust (%+v, %v) vs neutral trust (%+v, %v)",
 				trial, wantT, okT, gotT, gokT)
 		}
-		wantA, okA := ant.ChooseNextHopExcluding(dest, from, now, PolicyWeighted, nil)
-		gotA, gokA := ant.ChooseNextHopTrusted(dest, from, now, nil, tr)
+		wantA, okA := ant.ChooseNextHop(dest, from, now, PolicyWeighted, nil, nil)
+		gotA, gokA := ant.ChooseNextHop(dest, from, now, PolicyWeighted, nil, tr)
 		if okA != gokA || wantA != gotA {
-			t.Fatalf("trial %d: ANT parity broke: untrusted (%+v, %v) vs neutral-trusted (%+v, %v)",
+			t.Fatalf("trial %d: ANT parity broke: nil trust (%+v, %v) vs neutral trust (%+v, %v)",
 				trial, wantA, okA, gotA, gokA)
 		}
 		if tr.Fallbacks != 0 || tr.Quarantines != 0 {

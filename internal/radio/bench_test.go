@@ -10,20 +10,16 @@ import (
 	"anongeo/internal/sim"
 )
 
-// benchTransmitDense drives the channel hot path at Figure 1's top
+// BenchmarkTransmitDense drives the channel hot path at Figure 1's top
 // density — 150 waypoint nodes in a 1500×300 m arena — one frame every
 // 2 ms, timing the full transmit→finish cycle (sensing-set freeze,
 // busy/idle notifications, delivery bookkeeping, index rebinning).
-func benchTransmitDense(b *testing.B, brute bool) {
+func BenchmarkTransmitDense(b *testing.B) {
 	arena := geo.NewRect(1500, 300)
 	eng := sim.NewEngine(1)
 	c := NewChannel(eng, 250)
 	c.SetCarrierSenseRange(550)
-	if brute {
-		c.SetBruteForce(true)
-	} else {
-		c.EnableSpatialIndex(arena, 20)
-	}
+	c.EnableSpatialIndex(arena, 20)
 	const n = 150
 	rng := rand.New(rand.NewSource(9))
 	for k := 0; k < n; k++ {
@@ -52,9 +48,4 @@ func benchTransmitDense(b *testing.B, brute bool) {
 	if got := c.Stats().Transmissions; got != b.N {
 		b.Fatalf("made %d transmissions, want %d", got, b.N)
 	}
-}
-
-func BenchmarkTransmitDense(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchTransmitDense(b, false) })
-	b.Run("brute", func(b *testing.B) { benchTransmitDense(b, true) })
 }

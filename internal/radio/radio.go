@@ -64,9 +64,9 @@ type Transmission struct {
 	Payload   any // the MAC frame
 
 	// sensors are the interfaces within carrier-sense range at frame
-	// start; receivers is the subset within decode range. The brute-force
-	// and plain (un-indexed) paths record them as interface pointers; the
-	// indexed path records interface ids instead — pooled pointer-free
+	// start; receivers is the subset within decode range. The plain
+	// (un-indexed) path records them as interface pointers; the indexed
+	// path records interface ids instead — pooled pointer-free
 	// slices cost no write barriers on append and nothing for the garbage
 	// collector to scan.
 	sensors     []*Iface
@@ -149,22 +149,15 @@ func NewBernoulliLoss(p float64, rng *rand.Rand) LossModel {
 // Channel is the shared medium. It is single-threaded on the simulation
 // engine; none of its methods are safe for concurrent use.
 //
-// Two implementations of the per-frame hot path coexist:
-//
-//   - The default fast path keeps all per-interface hot state (busy
-//     counters, arrival slots, receiver callbacks, motion-leg memos) in
-//     dense channel-level arrays indexed by interface id, pools the
-//     per-frame sensor/receiver slices and Transmission structs, and —
-//     once EnableSpatialIndex is called — resolves the sensing set from
-//     a grid index instead of scanning every interface.
-//   - SetBruteForce(true) routes to the seed implementation (full O(n)
-//     scan, map-based arrival bookkeeping, unpooled slices), kept as the
-//     bit-for-bit parity oracle and the benchmark baseline.
-//
-// Both paths classify distances with the same squared-distance
-// comparisons and touch interfaces in ascending id order, so a run is
-// bit-for-bit identical under either; the parity tests in this package
-// and in internal/core pin that.
+// The per-frame hot path keeps all per-interface hot state (busy
+// counters, arrival slots, receiver callbacks, motion-leg memos) in
+// dense channel-level arrays indexed by interface id, pools the
+// per-frame sensor/receiver slices and Transmission structs, and — once
+// EnableSpatialIndex is called — resolves the sensing set from a grid
+// index instead of scanning every interface. Either way it classifies
+// distances with squared-distance comparisons and touches interfaces in
+// ascending id order; the index-vs-scan property test in this package
+// and the result-digest table in internal/core pin that.
 type Channel struct {
 	eng     *sim.Engine
 	rangeM  float64
@@ -174,11 +167,10 @@ type Channel struct {
 	taps    []Tap
 	stats   Stats
 
-	arena      geo.Rect
-	arenaSet   bool
-	maxSpeed   float64
-	bruteForce bool
-	index      *spatialIndex
+	arena    geo.Rect
+	arenaSet bool
+	maxSpeed float64
+	index    *spatialIndex
 
 	// slicePool and idPool recycle the per-frame sensor/receiver slices
 	// of the fast paths (pointer slices for plain channels, id slices for
@@ -201,9 +193,8 @@ type Channel struct {
 	// flag as count<<1 | transmitting, so "is the medium busy here" is a
 	// single non-zero test on one load. It is the source of truth for
 	// the busy count; the flag bit mirrors Iface.transmitting != nil.
-	// arr holds each interface's pending fast-path arrivals (the brute
-	// path keeps its map on the Iface); rxs mirrors Iface.rx so medium
-	// callbacks skip the Iface dereference.
+	// arr holds each interface's pending arrivals; rxs mirrors Iface.rx
+	// so medium callbacks skip the Iface dereference.
 	busyTx []int32
 	arr    [][]arrivalSlot
 	rxs    []Receiver
@@ -301,27 +292,13 @@ func (c *Channel) SetMaxSpeed(v float64) {
 	c.index = nil
 }
 
-// SetBruteForce routes the hot path to the seed's O(n) full-scan
-// implementation. It exists for the index-vs-brute parity tests and as
-// the wall-clock benchmark baseline; it must be chosen before any
-// traffic flows (the two paths keep arrival state in different
-// containers).
-func (c *Channel) SetBruteForce(on bool) {
-	if c.stats.Transmissions > 0 {
-		panic("radio: SetBruteForce after traffic started")
-	}
-	c.bruteForce = on
-	c.index = nil
-}
-
 // ensureIndex returns the grid index, building it on first use, or nil
-// when the channel runs without one (no arena configured, or brute-force
-// mode).
+// when the channel runs without one (no arena configured).
 func (c *Channel) ensureIndex() *spatialIndex {
 	if c.index != nil {
 		return c.index
 	}
-	if !c.arenaSet || c.bruteForce {
+	if !c.arenaSet {
 		return nil
 	}
 	c.index = newSpatialIndex(c, c.arena, c.csRange, c.maxSpeed)
@@ -359,8 +336,8 @@ func (c *Channel) SetLossModel(m LossModel) { c.loss = m }
 // conservation audit uses it to close the Stats invariant.
 func (c *Channel) PendingArrivals() int {
 	n := 0
-	for k, i := range c.ifaces {
-		n += len(c.arr[k]) + len(i.arrivalsM)
+	for _, arr := range c.arr {
+		n += len(arr)
 	}
 	return n
 }
@@ -397,11 +374,10 @@ func (c *Channel) AddTap(t Tap) { c.taps = append(c.taps, t) }
 // AddNode attaches an interface moving per model and delivering to rx.
 func (c *Channel) AddNode(model mobility.Model, rx Receiver) *Iface {
 	i := &Iface{
-		id:        NodeID(len(c.ifaces)),
-		ch:        c,
-		model:     model,
-		rx:        rx,
-		arrivalsM: make(map[*Transmission]*arrival),
+		id:    NodeID(len(c.ifaces)),
+		ch:    c,
+		model: model,
+		rx:    rx,
 	}
 	c.ifaces = append(c.ifaces, i)
 	c.busyTx = append(c.busyTx, 0)
@@ -422,44 +398,31 @@ func (c *Channel) NumNodes() int { return len(c.ifaces) }
 // Iface returns the interface with the given id.
 func (c *Channel) Iface(id NodeID) *Iface { return c.ifaces[id] }
 
-// arrival tracks one transmission currently impinging on one interface
-// (brute-force path).
-type arrival struct {
-	tx      *Transmission
-	corrupt bool
-}
-
-// arrivalSlot is the fast path's arrival record, held by value in a
-// small slice: at most a handful of frames ever overlap at one receiver,
-// so a linear scan beats a map and the record never allocates.
+// arrivalSlot tracks one transmission currently impinging on one
+// interface, held by value in a small slice: at most a handful of frames
+// ever overlap at one receiver, so a linear scan beats a map and the
+// record never allocates.
 type arrivalSlot struct {
 	tx      *Transmission
 	corrupt bool
 }
 
-// Iface is one node's attachment to the channel. Its fast-path arrival
-// slots live in ch.arr[id] (struct-of-arrays); only the brute-force
-// path keeps per-Iface arrival state.
+// Iface is one node's attachment to the channel. Its arrival slots live
+// in ch.arr[id] (struct-of-arrays).
 type Iface struct {
 	id    NodeID
 	ch    *Channel
 	model mobility.Model
 	rx    Receiver
 
-	arrivalsM    map[*Transmission]*arrival // brute-force (seed) path
-	transmitting *Transmission              // ch.busyTx's low bit mirrors non-nilness
+	transmitting *Transmission // ch.busyTx's low bit mirrors non-nilness
 }
 
 // ID reports the interface's channel index.
 func (i *Iface) ID() NodeID { return i.id }
 
-// Pos reports the node's current position. Brute-force channels bypass
-// the leg cache so the benchmark baseline keeps measuring the seed's
-// full position-lookup path.
+// Pos reports the node's current position.
 func (i *Iface) Pos() geo.Point {
-	if i.ch.bruteForce {
-		return i.model.PositionAt(i.ch.eng.Now())
-	}
 	return i.ch.posAt(int32(i.id), i.ch.eng.Now())
 }
 
@@ -506,11 +469,7 @@ func (i *Iface) Transmit(bits int, airtime time.Duration, payload any) *Transmis
 	// within the carrier-sense range sense the medium busy and have any
 	// in-progress reception corrupted; only those within the decode
 	// range can receive the frame itself.
-	if c.bruteForce {
-		i.transmitBrute(tx, now)
-	} else {
-		i.transmitFast(tx, now)
-	}
+	i.freeze(tx, now)
 
 	for _, tap := range c.taps {
 		tap.OnTransmit(tx)
@@ -520,12 +479,12 @@ func (i *Iface) Transmit(bits int, airtime time.Duration, payload any) *Transmis
 	return tx
 }
 
-// transmitFast freezes tx's sensing/receiving sets via the spatial index
-// when one is configured, or an id-order linear scan otherwise. Either
-// way interfaces are notified in ascending id order — the exact sequence
-// the brute-force path produces — so downstream event scheduling and RNG
-// draws are unperturbed.
-func (i *Iface) transmitFast(tx *Transmission, now sim.Time) {
+// freeze fixes tx's sensing/receiving sets via the spatial index when
+// one is configured, or an id-order linear scan otherwise. Either way
+// interfaces are notified in ascending id order — the order of a full
+// scan — so downstream event scheduling and RNG draws do not depend on
+// the index.
+func (i *Iface) freeze(tx *Transmission, now sim.Time) {
 	c := i.ch
 	// Half duplex: starting to send destroys anything we were receiving.
 	self := c.arr[i.id]
@@ -609,7 +568,7 @@ func (i *Iface) transmitFast(tx *Transmission, now sim.Time) {
 		}
 		s.markCandidates(int32(i.id), tx.SenderPos, c.csRange, c.rangeM)
 		// Consume the classification array in ascending id order — the
-		// exact sequence the brute-force scan notifies in — zeroing each
+		// exact sequence a full scan notifies in — zeroing each
 		// mark so the scratch is clean for the next query. The notify
 		// steps are notifyOne inlined against the dense state arrays:
 		// a candidate that is already busy with nothing arriving is
@@ -691,59 +650,12 @@ func (i *Iface) notifyOne(tx *Transmission, j *Iface, receiver bool) {
 	}
 }
 
-// transmitBrute is the seed implementation, kept verbatim as the parity
-// oracle and benchmark baseline: scan every interface, evaluate its
-// mobility model, compare true (hypot) distances, keep arrivals in a
-// map. The fast path compares squared distances instead; the two only
-// disagree when a distance lands within one ulp of a threshold, and the
-// parity test asserts bit-for-bit equal results on the committed
-// configurations. See SetBruteForce.
-func (i *Iface) transmitBrute(tx *Transmission, now sim.Time) {
-	c := i.ch
-	for _, a := range i.arrivalsM {
-		a.corrupt = true
-	}
-	for _, j := range c.ifaces {
-		if j == i {
-			continue
-		}
-		d := tx.SenderPos.Dist(j.model.PositionAt(now))
-		if d > c.csRange {
-			continue
-		}
-		tx.sensors = append(tx.sensors, j)
-		wasBusy := j.Busy()
-		c.busyTx[j.id] += 2
-		for _, a := range j.arrivalsM {
-			a.corrupt = true
-		}
-		if d <= c.rangeM {
-			tx.receivers = append(tx.receivers, j)
-			c.stats.RxFrozen++
-			na := &arrival{tx: tx}
-			// Seed condition "mid-transmission or busy count (including
-			// this tx) above one" — equivalent to wasBusy.
-			if wasBusy {
-				na.corrupt = true
-			}
-			j.arrivalsM[tx] = na
-		}
-		if !wasBusy {
-			j.rx.OnMediumBusy()
-		}
-	}
-}
-
 // finish completes a transmission: clears the sender's half-duplex state
 // and delivers or discards the frame at each frozen receiver, releasing
 // the medium at every sensing interface.
 func (c *Channel) finish(sender *Iface, tx *Transmission) {
 	sender.transmitting = nil
 	c.busyTx[sender.id] &^= 1
-	if c.bruteForce {
-		c.finishBrute(tx)
-		return
-	}
 	if tx.sensorIDs != nil {
 		c.finishIndexed(tx)
 		return
@@ -784,7 +696,7 @@ func (c *Channel) finish(sender *Iface, tx *Transmission) {
 }
 
 // finishIndexed is finish's hot loop for indexed frames, which carry
-// their frozen sets as interface ids (see transmitFast).
+// their frozen sets as interface ids (see freeze).
 func (c *Channel) finishIndexed(tx *Transmission) {
 	rc := 0
 	recv := tx.receiverIDs
@@ -819,31 +731,6 @@ func (c *Channel) finishIndexed(tx *Transmission) {
 	c.putIDSlice(tx.receiverIDs)
 	tx.sensorIDs, tx.receiverIDs = nil, nil
 	c.putTx(tx)
-}
-
-// finishBrute is the seed implementation of finish (see transmitBrute).
-func (c *Channel) finishBrute(tx *Transmission) {
-	for _, j := range tx.sensors {
-		c.busyTx[j.id] -= 2
-		if a, decodable := j.arrivalsM[tx]; decodable {
-			delete(j.arrivalsM, tx)
-			if !a.corrupt && c.applyLoss(j) {
-				a.corrupt = true
-			}
-			if !a.corrupt {
-				c.stats.Deliveries++
-				for _, tap := range c.taps {
-					tap.OnDeliver(j.id, j.model.PositionAt(c.eng.Now()), tx)
-				}
-				j.rx.OnReceive(tx)
-			} else {
-				c.stats.Collisions++
-			}
-		}
-		if !j.Busy() {
-			j.rx.OnMediumIdle()
-		}
-	}
 }
 
 // findArrival reports the index of tx in interface id's arrival slots,
@@ -882,7 +769,7 @@ func (c *Channel) getTx() *Transmission {
 		c.txPool = c.txPool[:n-1]
 		return tx
 	}
-	if !c.bruteForce && c.arenaSet {
+	if c.arenaSet {
 		chunk := make([]Transmission, txChunk)
 		for k := txChunk - 1; k > 0; k-- {
 			c.txPool = append(c.txPool, &chunk[k])
@@ -896,7 +783,7 @@ func (c *Channel) getTx() *Transmission {
 // and taps on such channels must not hold *Transmission past the
 // callback that handed it to them.
 func (c *Channel) putTx(tx *Transmission) {
-	if c.bruteForce || !c.arenaSet {
+	if !c.arenaSet {
 		return
 	}
 	// No need to zero the struct: Transmit overwrites every field on

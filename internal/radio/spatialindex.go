@@ -1,6 +1,6 @@
 // Spatial grid index for the channel's O(neighbors) hot path.
 //
-// The brute-force Transmit freezes the sensing set by scanning all n
+// An un-indexed Transmit freezes the sensing set by scanning all n
 // interfaces and evaluating every mobility model, so one frame costs
 // O(n) and a dense scenario costs O(n²) per unit of traffic. The index
 // replaces the scan with a uniform grid over the arena: interfaces are
@@ -27,7 +27,7 @@
 // with bd inside threshold−slack are accepted without ever evaluating
 // the mobility model; only the thin uncertainty annulus pays for an
 // exact PositionAt + distance test, which uses the same squared-distance
-// comparison as the brute-force path so the resulting sets are
+// comparison as the full scan so the resulting sets are
 // bit-for-bit identical (the slack is padded by epsMeters, dwarfing
 // float rounding in the conservative bounds).
 //

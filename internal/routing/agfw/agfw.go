@@ -611,14 +611,11 @@ func (r *Router) inLastHopRegion(dstLoc geo.Point) bool {
 	return r.pos().Dist(dstLoc) <= r.cfg.RadioRange
 }
 
-// chooseNextHop dispatches next-hop selection to the trust-aware chooser
-// when the defense is armed, else to the configured untrusted policy
-// (the defense-off parity path, taken verbatim).
+// chooseNextHop picks the next hop from our position under the
+// configured policy, weighted by the trust table when the defense is
+// armed (r.trust is nil otherwise).
 func (r *Router) chooseNextHop(dstLoc geo.Point, now sim.Time, exclude map[anoncrypto.Pseudonym]bool) (neighbor.ANTEntry, bool) {
-	if r.trust != nil {
-		return r.ant.ChooseNextHopTrusted(dstLoc, r.pos(), now, exclude, r.trust)
-	}
-	return r.ant.ChooseNextHopExcluding(dstLoc, r.pos(), now, r.cfg.Policy, exclude)
+	return r.ant.ChooseNextHop(dstLoc, r.pos(), now, r.cfg.Policy, exclude, r.trust)
 }
 
 // forwardDecision implements TryForward + the last forwarding attempt of

@@ -398,7 +398,7 @@ func (r *Router) route(p *Packet, retried int) {
 		}
 	}
 	if !p.Perim {
-		if e, ok := r.table.ClosestTrusted(p.DstLoc, here, now, r.trust); ok {
+		if e, ok := r.table.Closest(p.DstLoc, here, now, r.trust); ok {
 			r.transmit(p, e, retried)
 			return
 		}

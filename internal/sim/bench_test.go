@@ -31,7 +31,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 
 // BenchmarkEngineScheduleCancel measures the MAC's most common timer
 // pattern: arm a future event and cancel it before it fires. Cancel
-// heap-removes eagerly and recycles the shell, so this too must be
+// removes eagerly and recycles the shell, so this too must be
 // allocation-free at steady state.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	eng := NewEngine(1)

@@ -1,4 +1,4 @@
-// Calendar-queue event scheduler — the engine's default queue.
+// Calendar-queue event scheduler — the engine's event queue.
 //
 // A binary heap costs O(log n) per operation with a pointer-hopping
 // memory pattern that worsens as the pending-event population grows; at
@@ -11,10 +11,10 @@
 // queue event density, and cancels are O(1) swap-removes.
 //
 // Determinism contract: (at, seq) is a strict total order over events,
-// and dequeue always returns the globally least (at, seq) pair — the
-// exact sequence the heap pops. The wheel's internal layout (bucket
-// width, resizes, within-bucket order) can never leak into results; the
-// scheduler parity tests in this package and internal/core pin that.
+// and dequeue always returns the globally least (at, seq) pair. The
+// wheel's internal layout (bucket width, resizes, within-bucket order)
+// can never leak into results; the scheduler property tests in this
+// package and the result-digest table in internal/core pin that.
 //
 // Width and size adapt deterministically: the width re-estimates from
 // the simulated-time span of the last calResample dequeues (a pure
@@ -24,8 +24,8 @@
 package sim
 
 // calSlot is one bucket entry: the ordering key, denormalized from the
-// event, plus the event itself. Identical to heapSlot, duplicated so
-// each queue's hot loops stay self-contained.
+// event, plus the event itself, so the compares that dominate bucket
+// scans walk contiguous slots and never dereference an Event.
 type calSlot struct {
 	at  Time
 	seq uint64
@@ -52,7 +52,7 @@ const (
 
 // calQueue is the bucketed calendar. Events are addressed for O(1)
 // removal through Event.bucket (which bucket) and Event.index (the slot
-// within it); the heap scheduler reuses Event.index alone.
+// within it).
 type calQueue struct {
 	buckets [][]calSlot
 	mask    int  // len(buckets) - 1

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCancelRemovesFromQueue pins the eager-removal contract: a canceled
-// event leaves the heap immediately instead of lingering as a tombstone
+// event leaves the queue immediately instead of lingering as a tombstone
 // until its fire time.
 func TestCancelRemovesFromQueue(t *testing.T) {
 	e := NewEngine(1)
@@ -43,7 +43,7 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 // TestCancelPreservesFiringOrder interleaves schedules and cancels
 // (including same-timestamp events, where seq breaks the tie) and checks
 // the survivors fire in exactly (time, FIFO) order. (at, seq) is a
-// strict total order, so heap removal cannot perturb the pop order of
+// strict total order, so eager removal cannot perturb the pop order of
 // the remaining events — this test would catch a regression in that
 // argument.
 func TestCancelPreservesFiringOrder(t *testing.T) {
@@ -94,7 +94,7 @@ func TestCancelPreservesFiringOrder(t *testing.T) {
 }
 
 // TestCancelDuringOwnCallback exercises the e.index == -1 branch: by the
-// time fn runs the event is already off the heap.
+// time fn runs the event is already off the queue.
 func TestCancelDuringOwnCallback(t *testing.T) {
 	e := NewEngine(1)
 	var ev *Event

@@ -49,10 +49,8 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 type Event struct {
 	at  Time
 	seq uint64 // tiebreak for equal times: FIFO order
-	// index addresses the event inside its queue for O(1)/O(log n)
-	// removal: the heap position under the heap scheduler, the slot
-	// within bucket `bucket` under the calendar queue. -1 when not
-	// queued; bucket is -1 except while queued on the calendar.
+	// bucket and index address the event's calendar-queue slot for O(1)
+	// removal; index is -1 when the event is not queued.
 	index    int
 	bucket   int32
 	eng      *Engine
@@ -64,12 +62,12 @@ type Event struct {
 func (e *Event) Time() Time { return e.at }
 
 // Cancel prevents the event from firing and removes it from the queue
-// immediately (the index field the heap maintains makes this O(log n)),
-// so heavily canceled timers — MAC backoff, ACK timeouts — do not bloat
-// the queue as tombstones until their fire time. Removal cannot change
-// the firing order of live events: (at, seq) is a strict total order, so
-// a min-heap pops the survivors in exactly the same sequence whatever
-// its internal layout.
+// immediately (an O(1) swap-remove from its calendar bucket), so heavily
+// canceled timers — MAC backoff, ACK timeouts — do not bloat the queue
+// as tombstones until their fire time. Removal cannot change the firing
+// order of live events: (at, seq) is a strict total order, so the queue
+// pops the survivors in exactly the same sequence whatever its internal
+// layout.
 //
 // Canceling an already-canceled event is a no-op, as is an event
 // canceling itself from inside its own callback. Beyond that the handle
@@ -83,11 +81,7 @@ func (e *Event) Cancel() {
 	}
 	e.canceled = true
 	if e.eng != nil && e.index >= 0 {
-		if e.bucket >= 0 {
-			e.eng.cal.removeSlot(int(e.bucket), e.index)
-		} else {
-			e.eng.queue.remove(e.index)
-		}
+		e.eng.cal.removeSlot(int(e.bucket), e.index)
 		e.fn = nil
 		e.eng.free = append(e.eng.free, e)
 	}
@@ -100,14 +94,8 @@ func (e *Event) Canceled() bool { return e.canceled }
 // concurrent use: all model code runs inside event callbacks on the
 // goroutine that called Run.
 type Engine struct {
-	now Time
-	// The pending-event queue: the calendar queue (cal) by default, the
-	// binary heap (queue) when UseHeapScheduler selects it. Both pop in
-	// identical (at, seq) order — the heap is kept as the structurally
-	// independent parity oracle the scheduler parity tests run against.
-	queue   eventQueue
-	cal     calQueue
-	useHeap bool
+	now     Time
+	cal     calQueue // the pending events
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -144,22 +132,8 @@ const interruptStride = 4096
 var ErrEventBudget = errors.New("sim: event budget exceeded")
 
 // NewEngine returns an engine whose random stream is seeded with seed.
-// Events are scheduled on the calendar queue; see UseHeapScheduler.
 func NewEngine(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
-
-// UseHeapScheduler switches the engine to the binary-heap event queue —
-// the original scheduler, kept as a parity oracle for the calendar
-// queue (results are bit-for-bit identical under either; the parity
-// tests pin it) and for pathological event patterns where a comparison
-// heap's O(log n) guarantee beats an amortized structure. Must be
-// called before anything is scheduled.
-func (e *Engine) UseHeapScheduler() {
-	if e.seq != 0 {
-		panic("sim: UseHeapScheduler after events were scheduled")
-	}
-	e.useHeap = true
 }
 
 // Now reports the current simulation time.
@@ -214,24 +188,13 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
-	if e.useHeap {
-		e.queue.push(ev)
-	} else {
-		e.cal.push(ev)
-	}
+	e.cal.push(ev)
 	return ev
 }
 
 // popLE removes and returns the earliest pending event if its timestamp
-// is at most end, else nil (leaving the queue intact). Both schedulers
-// yield events in identical (at, seq) order.
+// is at most end, else nil (leaving the queue intact).
 func (e *Engine) popLE(end Time) *Event {
-	if e.useHeap {
-		if len(e.queue.s) == 0 || e.queue.s[0].at > end {
-			return nil
-		}
-		return e.queue.popMin()
-	}
 	ev := e.cal.popMin()
 	if ev == nil {
 		return nil
@@ -319,124 +282,4 @@ const maxTime = Time(1<<63 - 1)
 
 // Pending reports the number of queued events. Canceled events are
 // removed from the queue eagerly, so they do not count.
-func (e *Engine) Pending() int {
-	if e.useHeap {
-		return len(e.queue.s)
-	}
-	return e.cal.count
-}
-
-// eventQueue is a binary min-heap ordered by (time, seq), implemented
-// concretely — the sift loops compare and move slots directly rather
-// than going through container/heap's interface indirection, which is
-// measurable on the simulator's event rates. Each slot carries its
-// event's (at, seq) key inline, so the compares that dominate sifting
-// walk the contiguous slot array and never dereference an Event; the
-// pointer is only touched to maintain Event.index (Cancel's O(log n)
-// removal hook) when a slot actually moves. (at, seq) is a strict total
-// order, so whatever the internal layout, popMin always yields the same
-// sequence of events.
-type eventQueue struct {
-	s []heapSlot
-}
-
-// heapSlot is one heap entry: the ordering key, denormalized from the
-// event, plus the event itself.
-type heapSlot struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-// before orders slots by (time, seq); seq breaks ties FIFO.
-func (a heapSlot) before(b heapSlot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push adds ev to the heap.
-func (q *eventQueue) push(ev *Event) {
-	ev.bucket = -1 // heap slots are addressed by index alone
-	ev.index = len(q.s)
-	q.s = append(q.s, heapSlot{at: ev.at, seq: ev.seq, ev: ev})
-	q.up(ev.index)
-}
-
-// popMin removes and returns the earliest event.
-func (q *eventQueue) popMin() *Event {
-	s := q.s
-	ev := s[0].ev
-	n := len(s) - 1
-	if n > 0 {
-		s[0] = s[n]
-		s[0].ev.index = 0
-	}
-	s[n] = heapSlot{}
-	q.s = s[:n]
-	if n > 1 {
-		q.down(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// remove deletes the event at heap position k (Event.Cancel's helper).
-func (q *eventQueue) remove(k int) {
-	s := q.s
-	n := len(s) - 1
-	removed := s[k].ev
-	if k != n {
-		s[k] = s[n]
-		s[k].ev.index = k
-	}
-	s[n] = heapSlot{}
-	q.s = s[:n]
-	if k != n {
-		q.down(k)
-		q.up(k)
-	}
-	removed.index = -1
-}
-
-// up sifts the slot at position k toward the root.
-func (q *eventQueue) up(k int) {
-	s := q.s
-	sl := s[k]
-	for k > 0 {
-		parent := (k - 1) / 2
-		if !sl.before(s[parent]) {
-			break
-		}
-		s[k] = s[parent]
-		s[k].ev.index = k
-		k = parent
-	}
-	s[k] = sl
-	sl.ev.index = k
-}
-
-// down sifts the slot at position k toward the leaves.
-func (q *eventQueue) down(k int) {
-	s := q.s
-	n := len(s)
-	sl := s[k]
-	for {
-		child := 2*k + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && s[r].before(s[child]) {
-			child = r
-		}
-		if !s[child].before(sl) {
-			break
-		}
-		s[k] = s[child]
-		s[k].ev.index = k
-		k = child
-	}
-	s[k] = sl
-	sl.ev.index = k
-}
+func (e *Engine) Pending() int { return e.cal.count }
