@@ -316,14 +316,8 @@ func (c *Cache) Prune(maxEntries int, maxAge time.Duration) (int, error) {
 			remove(e)
 		}
 	}
-	// Empty shard directories are harmless; sweep them opportunistically.
-	if dirs, err := os.ReadDir(c.dir); err == nil {
-		for _, d := range dirs {
-			if d.IsDir() && d.Name() != corruptDirName {
-				_ = os.Remove(filepath.Join(c.dir, d.Name())) // fails unless empty
-			}
-		}
-	}
+	// Empty shard directories stay: there are at most 256, and removing
+	// one races a concurrent Put that has just created it.
 	return pruned, nil
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -123,5 +124,55 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 		if st.State != JobCanceled {
 			t.Fatalf("job %s state after deadline drain = %q, want canceled", id[:8], st.State)
 		}
+	}
+}
+
+// TestListenAndServeDrainsPastIdleConnection is the SIGTERM path with a
+// client that dialled and never sent a request: net/http's Shutdown
+// counts such a connection as active for its first 5 s, past the
+// shutdown deadline, yet a drain with no jobs left must still return
+// nil (agrsimd exits 0).
+func TestListenAndServeDrainsPastIdleConnection(t *testing.T) {
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	shutdown := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe(addr, shutdown, 10*time.Second) }()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for {
+		resp, err := client.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case err := <-errc:
+			t.Fatalf("daemon exited before serving: %v", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	close(shutdown)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("drain with an idle connection returned %v, want nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("drain did not return")
 	}
 }

@@ -144,12 +144,17 @@ func restoreJob(w *walJob) *Job {
 // subscribers. Callers must not hold j.mu.
 func (j *Job) append(ev JobEvent) {
 	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+}
+
+// appendLocked is append for callers holding j.mu.
+func (j *Job) appendLocked(ev JobEvent) {
 	ev.Seq = len(j.events)
 	ev.JobID = j.ID
 	j.events = append(j.events, ev)
 	close(j.wake)
 	j.wake = make(chan struct{})
-	j.mu.Unlock()
 }
 
 // Emit implements exp.Hook: the job's per-run hook forwards every
@@ -190,30 +195,27 @@ func (j *Job) snapshot() JobStatus {
 }
 
 // transition moves the job to state, recording timestamps and the
-// error, and logs the matching job-level event. It is a no-op if the
-// job is already terminal (a cancel racing a natural finish keeps
-// whichever landed first).
+// error, and logs the matching job-level event in the same critical
+// section, so a reader that sees a terminal state also sees its
+// job-finished event. It is a no-op if the job is already terminal (a
+// cancel racing a natural finish keeps whichever landed first).
 func (j *Job) transition(state JobState, errMsg string, now time.Time) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.err = errMsg
+	evType := eventJobStarted
 	switch state {
 	case JobRunning:
 		j.started = now
 	case JobDone, JobFailed, JobCanceled:
 		j.finished = now
-	}
-	j.mu.Unlock()
-
-	evType := eventJobStarted
-	if state.Terminal() {
 		evType = eventJobFinished
 	}
-	j.append(JobEvent{State: state, Event: exp.Event{Type: evType, Err: errMsg}})
+	j.appendLocked(JobEvent{State: state, Event: exp.Event{Type: evType, Err: errMsg}})
 	return true
 }
 
