@@ -154,8 +154,10 @@ func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy, e
 		d     float64
 		score float64 // progress minus staleness, trust-weighted
 	}
-	var best, bestAny cand
-	found, foundAny := false, false
+	// fallback is the best shunned candidate, used only when every
+	// candidate is shunned.
+	var best, fallback cand
+	found, foundFallback := false, false
 	better := func(x, y cand) bool {
 		switch policy {
 		case PolicyFreshest:
@@ -201,7 +203,6 @@ func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy, e
 			continue // not an improvement; greedy never goes backward
 		}
 		c := cand{e: e, d: d, score: (myD - d) - a.maxSpeed*e.Age(now).Seconds()}
-		shunned := false
 		if tr != nil {
 			key := string(e.N[:])
 			if tr.Quarantined(key, now) {
@@ -212,21 +213,23 @@ func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy, e
 				// entry gains nothing from a good reputation.
 				c.score *= tr.Weight(key)
 			}
-			shunned = tr.Shunned(key)
+			if tr.Shunned(key) {
+				if !foundFallback || better(c, fallback) {
+					fallback, foundFallback = c, true
+				}
+				continue
+			}
 		}
-		if !foundAny || better(c, bestAny) {
-			bestAny, foundAny = c, true
-		}
-		if !shunned && (!found || better(c, best)) {
+		if !found || better(c, best) {
 			best, found = c, true
 		}
 	}
 	if found {
 		return best.e, true
 	}
-	if foundAny {
-		tr.Fallbacks++ // only a trust table shuns
-		return bestAny.e, true
+	if foundFallback {
+		tr.Fallbacks++
+		return fallback.e, true
 	}
 	return ANTEntry{}, false
 }

@@ -331,8 +331,10 @@ func (t *Table) Closest(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, b
 		w float64 // trust-weighted progress; 0 under neutral trust
 		d float64 // distance to dest, squared under neutral trust
 	}
-	var best, bestAny cand
-	found, foundAny := false, false
+	// fallback is the best shunned candidate, used only when every
+	// candidate is shunned.
+	var best, fallback cand
+	found, foundFallback := false, false
 	better := func(a, b cand) bool {
 		if a.w != b.w {
 			return a.w > b.w
@@ -344,7 +346,6 @@ func (t *Table) Closest(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, b
 	}
 	consider := func(e Entry) {
 		c := cand{e: e}
-		shunned := false
 		if tr == nil {
 			c.d = e.Loc.Dist2(dest)
 			if c.d >= myD2 {
@@ -360,12 +361,14 @@ func (t *Table) Closest(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, b
 				return
 			}
 			c.w = tr.Weight(key) * (myD - c.d)
-			shunned = tr.Shunned(key)
+			if tr.Shunned(key) {
+				if !foundFallback || better(c, fallback) {
+					fallback, foundFallback = c, true
+				}
+				return
+			}
 		}
-		if !foundAny || better(c, bestAny) {
-			bestAny, foundAny = c, true
-		}
-		if !shunned && (!found || better(c, best)) {
+		if !found || better(c, best) {
 			best, found = c, true
 		}
 	}
@@ -385,9 +388,9 @@ func (t *Table) Closest(dest, from geo.Point, now sim.Time, tr *Trust) (Entry, b
 	if found {
 		return best.e, true
 	}
-	if foundAny {
-		tr.Fallbacks++ // only a trust table shuns
-		return bestAny.e, true
+	if foundFallback {
+		tr.Fallbacks++
+		return fallback.e, true
 	}
 	return Entry{}, false
 }
