@@ -141,10 +141,10 @@ type Config struct {
 	// scenario runs: per-neighbor forwarding-evidence scores (watchdog
 	// overhearing for GPSR, ARQ outcomes for AGFW), position-plausibility
 	// quarantine against forged beacons, and trust-weighted next-hop
-	// selection. Off (the default) keeps the untrusted code paths
-	// bit-for-bit — the defense-off parity oracle the chaos degradation
-	// curves compare against. omitempty keeps experiment cache keys
-	// unchanged for the default.
+	// selection. Off (the default) passes the routers a nil trust table,
+	// which keeps the undefended results bit-for-bit — the defense-off
+	// baseline the chaos degradation curves compare against. omitempty
+	// keeps experiment cache keys unchanged for the default.
 	TrustRelay bool `json:",omitempty"`
 	// TrustOverride, when non-nil, replaces the defense parameters
 	// (neighbor.DefaultTrustConfig with MaxSpeed/RadioRange filled from

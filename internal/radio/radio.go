@@ -173,11 +173,11 @@ type Channel struct {
 	index    *spatialIndex
 
 	// slicePool and idPool recycle the per-frame sensor/receiver slices
-	// of the fast paths (pointer slices for plain channels, id slices for
-	// indexed ones); a frame returns its two slices in finish. txPool
-	// recycles Transmission structs the same way, but only on indexed
-	// channels (see getTx): plain channels keep allocation semantics so
-	// tests may retain *Transmission past finish.
+	// (pointer slices for plain channels, id slices for indexed ones); a
+	// frame returns its two slices in finish. txPool recycles
+	// Transmission structs the same way, but only on indexed channels
+	// (see getTx): plain channels keep allocation semantics so tests may
+	// retain *Transmission past finish.
 	slicePool [][]*Iface
 	idPool    [][]int32
 	txPool    []*Transmission
