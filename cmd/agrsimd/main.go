@@ -36,13 +36,15 @@
 //	curl -s localhost:8080/v1/jobs/<id>   # same ID, finishes from cache
 //
 // With -workers the daemon becomes a coordinator instead of computing
-// locally: it exposes the identical HTTP API, but shards each grid's
-// cells across the listed worker daemons (admission-aware assignment,
-// work-stealing for stragglers, duplicate completions discarded by
-// content address) and folds the results bit-identically to a local
-// run. Combined with -journal, assignments and folded cells are
-// journaled too, so a coordinator crash resumes mid-grid without
-// recomputing finished cells:
+// locally: it exposes the identical HTTP API and runs each grid on the
+// same orchestrator, but every cell executes on one of the listed
+// worker daemons (admission-aware dispatch, hedging of stragglers,
+// duplicate completions discarded) and the fold is bit-identical to a
+// local run. The orchestrator runs len(workers) × -worker-inflight
+// cells at once; -parallel does not apply. Finished cells land in the
+// coordinator's cache, so with -journal a coordinator crash resumes the
+// job from cache hits without recomputing them — coordinator resume,
+// like -journal recovery everywhere, needs the cache (on by default):
 //
 //	agrsimd -addr :8081 -journal w1.journal &   # worker 1
 //	agrsimd -addr :8082 -journal w2.journal &   # worker 2
@@ -78,8 +80,8 @@ func run() error {
 		addr         = flag.String("addr", ":8080", "listen address")
 		queueDepth   = flag.Int("queue", 16, "admission queue bound; beyond it submissions get 429")
 		jobWorkers   = flag.Int("job-workers", 1, "jobs executing concurrently")
-		parallel     = flag.Int("parallel", 0, "orchestrator pool width per job (0 = GOMAXPROCS)")
-		cache        = flag.Bool("cache", true, "memoize cell results under -cache-dir")
+		parallel     = flag.Int("parallel", 0, "orchestrator pool width per job (0 = GOMAXPROCS; coordinator mode uses workers × -worker-inflight)")
+		cache        = flag.Bool("cache", true, "memoize cell results under -cache-dir (journal recovery, coordinator resume included, finishes from it)")
 		cacheDir     = flag.String("cache-dir", exp.DefaultCacheDir, "result cache directory")
 		journalDir   = flag.String("journal", "", "job WAL directory: admissions and transitions are fsynced there, and a restart replays the journal — terminal jobs stay readable, interrupted jobs are re-admitted and finish from cache hits (empty = no journal)")
 		cacheGC      = flag.Duration("cache-gc", 0, "evict cache entries older than this (0 = keep forever); also swept hourly")
@@ -139,14 +141,14 @@ func run() error {
 			Workers:     urls,
 			MaxInflight: *workerInflight,
 			StealAfter:  *stealAfter,
-			JournalDir:  *journalDir,
 			Logf:        serve.LogStd,
 		})
 		if err != nil {
 			return err
 		}
 		defer coord.Close()
-		opts.Executor = coord.Executor()
+		opts.RunCell = coord.RunCell
+		opts.Parallel = len(urls) * *workerInflight
 		opts.ExtraMetrics = coord.WriteMetrics
 		serve.LogStd("agrsimd: coordinator mode, %d workers (%s), %d healthy",
 			len(urls), *workers, coord.HealthyWorkers())

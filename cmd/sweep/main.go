@@ -13,23 +13,17 @@
 // -cache memoizes finished cells under .expcache/, and -progress
 // streams run telemetry to stderr.
 //
-// -resume makes an interrupted sweep restartable: it enables the cache,
-// checkpoints each finished cell to a per-grid journal under
-// .expcache/sweeps/, and on restart reports how many cells the previous
-// attempt completed — those are served from the cache, so only the
-// remainder executes. kill -9 mid-sweep, rerun the same command, and
-// the CSV comes out identical with no finished cell recomputed. The
-// checkpoint is removed on clean completion.
+// -cache also makes an interrupted sweep resumable: every finished cell
+// is in the cache, so after kill -9 mid-sweep, rerunning the same
+// command executes only the remainder and prints the identical CSV.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -37,7 +31,6 @@ import (
 
 	"anongeo"
 	"anongeo/internal/core"
-	"anongeo/internal/durable"
 	"anongeo/internal/exp"
 )
 
@@ -57,8 +50,7 @@ func run() error {
 		repeats  = flag.Int("repeats", 1, "seeds per cell (averaged)")
 		seed     = flag.Int64("seed", 1, "base seed")
 		parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		cache    = flag.Bool("cache", false, "memoize cell results under "+exp.DefaultCacheDir+"/")
-		resume   = flag.Bool("resume", false, "checkpoint per-cell progress to a crash-safe journal and resume an interrupted sweep from the cache (implies -cache)")
+		cache    = flag.Bool("cache", false, "memoize cell results under "+exp.DefaultCacheDir+"/; a rerun of an interrupted sweep executes only the remainder")
 		cacheGC  = flag.Duration("cache-gc", 0, "before running, evict cache entries older than this (0 = keep forever)")
 		progress = flag.String("progress", "off", "run telemetry to stderr: off | stderr | jsonl")
 		retries  = flag.Int("retries", 0, "extra attempts per failed cell (capped backoff)")
@@ -109,7 +101,7 @@ func run() error {
 	}
 
 	opt := core.SweepOptions{Parallel: *parallel, Retries: *retries}
-	if *cache || *resume {
+	if *cache {
 		opt.CacheDir = exp.DefaultCacheDir
 	}
 	hook, err := exp.HookForMode(*progress)
@@ -120,22 +112,6 @@ func run() error {
 		opt.Hooks = append(opt.Hooks, hook)
 	}
 
-	// -resume: checkpoint finished cells to a per-grid journal. The
-	// cache holds the results themselves; the journal records which
-	// cells committed, so a rerun can say exactly how much survives and
-	// a clean finish can retire the checkpoint.
-	var ckpt *sweepCheckpoint
-	if *resume {
-		ckpt, err = openCheckpoint(opt.CacheDir, cells)
-		if err != nil {
-			return err
-		}
-		defer ckpt.close()
-		if n := ckpt.completed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming — %d/%d cells completed by a previous attempt (served from cache)\n", n, len(cells))
-		}
-		opt.Hooks = append(opt.Hooks, ckpt)
-	}
 	orch, err := core.NewOrchestrator(opt)
 	if err != nil {
 		return err
@@ -156,9 +132,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if ckpt != nil {
-		ckpt.retire() // clean completion: the checkpoint has served its purpose
-	}
 
 	fmt.Printf("axis,%s,pdf,avg_latency_ms,p95_latency_ms,avg_hops,collisions\n", *axis)
 	i := 0
@@ -177,122 +150,6 @@ func run() error {
 		fmt.Printf("%s,%s,%.4f,%.3f,%.3f,%.2f,%.0f\n", *axis, raw, pdf/n, lat/n, p95/n, hops/n, col/n)
 	}
 	return nil
-}
-
-// sweepCheckpoint journals per-cell completion for -resume. Records are
-// JSON inside durable frames: a grid-identity header, then one record
-// per committed cell. The orchestrator serializes hook emission, and a
-// cell's record is appended only after its result is in the cache (the
-// orchestrator writes the cache before emitting cell-finished), so the
-// checkpoint never claims a cell the cache cannot serve.
-type sweepCheckpoint struct {
-	j    *durable.Journal
-	path string
-	done map[int]bool
-}
-
-// ckptRecord is one checkpoint journal entry.
-type ckptRecord struct {
-	Grid  string `json:"grid,omitempty"` // header: content address of the full cell list
-	Index int    `json:"index"`
-	Label string `json:"label,omitempty"`
-}
-
-// openCheckpoint opens (or validates and resets) the per-grid
-// checkpoint journal under <cacheDir>/sweeps/. The file name and the
-// header record both carry the grid's content address, so a checkpoint
-// from a different grid — or a different schema version — is discarded
-// rather than trusted.
-func openCheckpoint(cacheDir string, cells []exp.Cell[anongeo.Config]) (*sweepCheckpoint, error) {
-	key, err := exp.KeyOf(cells)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: grid not encodable for -resume: %w", err)
-	}
-	dir := filepath.Join(cacheDir, "sweeps")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(dir, key[:16]+".wal")
-	j, recs, err := durable.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: open checkpoint: %w", err)
-	}
-	ck := &sweepCheckpoint{j: j, path: path, done: make(map[int]bool)}
-
-	valid := false
-	for i, raw := range recs {
-		var rec ckptRecord
-		if json.Unmarshal(raw, &rec) != nil {
-			continue
-		}
-		if i == 0 {
-			valid = rec.Grid == key
-			if !valid {
-				break
-			}
-			continue
-		}
-		if valid && rec.Index >= 0 && rec.Index < len(cells) {
-			ck.done[rec.Index] = true
-		}
-	}
-	if !valid {
-		// Fresh grid (or stale/corrupt header): restart the checkpoint
-		// with just the identity header.
-		hdr, _ := json.Marshal(ckptRecord{Grid: key})
-		if err := j.Close(); err != nil {
-			return nil, err
-		}
-		if err := durable.Rewrite(path, [][]byte{hdr}); err != nil {
-			return nil, err
-		}
-		ck.j, _, err = durable.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		ck.done = make(map[int]bool)
-	}
-	return ck, nil
-}
-
-// completed reports how many distinct cells a previous attempt
-// committed.
-func (c *sweepCheckpoint) completed() int { return len(c.done) }
-
-// Emit implements exp.Hook: every successfully resolved cell — executed
-// or served from cache — is checkpointed.
-func (c *sweepCheckpoint) Emit(ev exp.Event) {
-	switch ev.Type {
-	case exp.EventCellFinished:
-		if ev.Err != "" {
-			return
-		}
-	case exp.EventCellCached:
-	default:
-		return
-	}
-	if c.done[ev.Index] {
-		return
-	}
-	c.done[ev.Index] = true
-	b, _ := json.Marshal(ckptRecord{Index: ev.Index, Label: ev.Label})
-	if err := c.j.Append(b); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: checkpoint append: %v\n", err)
-	}
-}
-
-// retire removes the checkpoint after a clean completion; close only
-// releases the handle (the file stays for the next -resume).
-func (c *sweepCheckpoint) retire() {
-	c.j.Close()
-	c.j = nil
-	os.Remove(c.path)
-}
-
-func (c *sweepCheckpoint) close() {
-	if c.j != nil {
-		c.j.Close()
-	}
 }
 
 // applyAxis mutates cfg along the chosen sweep axis.

@@ -26,7 +26,8 @@ import (
 // brute-force radio, the binary-heap scheduler and (for cells without a
 // fault plan) the pre-plan fault wiring as well as on the default path;
 // all agreed. Those implementations are gone; matching the table is
-// matching them.
+// matching them. The ls cells joined later, once the in-band location
+// service sent its geocasts in a run-determined order.
 //
 // When an intended change moves results, the failing test prints the
 // full recomputed table; paste it here after checking that the moved
@@ -87,6 +88,8 @@ var resultDigests = map[string]string{
 	"defended/bogus/AGFW":          "f987dbfb5999af681c5edaca3141fb480e75f7c442cf8b62ef9abf735367020d",
 	"defended/ackspoof/AGFW":       "645ede2557e2f87ba57bfbd3bdbe57b71e41e45437591af6a5844fdaea8d734f",
 	"defended/flood/AGFW":          "b95a826b0fe8d21013ed9a839aea24e6fbf565349ac689cf5024912ecec34e9a",
+	"ls/ALS":                       "4157665316e823d6e47b54dfd5a4e1e38958796532df24dcdcbfeb893ddd0d88",
+	"ls/DLM":                       "c417777f466861da7f4998f7f8bfd13a9e62b50f76c04aced3ed9c4a0d788627",
 	"lbs/paperals":                 "1f1164cb9ee33d1196751983aab6a2b4abe4f6cd87fe987c8839223276c16bbf",
 	"lbs/kanon":                    "334f004e3062da1fd07a899bf7186da2e630fb48cfab53fc3dca025827bf08bf",
 	"lbs/gridcloak":                "b0737dfd2c76f5d719966a7e9f1d656799f49d20d3f34f4ca20915bbb7df6147",
@@ -117,10 +120,9 @@ type digestCell struct {
 //   - chaos: one cell per fault axis, each protocol;
 //   - defended: perfbench's attack × protocol set with TrustRelay, and
 //     Revocation and AuthAck on AGFW;
+//   - ls: the in-band location service, ALS and plain DLM (perfbench's
+//     canary shape);
 //   - lbs: one cell per LBS backend.
-//
-// In-band location service (LSALS) cells are left out: their replays
-// differ run to run.
 func digestCells() []digestCell {
 	var cells []digestCell
 	add := func(label string, short bool, cfg Config) {
@@ -227,6 +229,10 @@ func digestCells() []digestCell {
 		add(fmt.Sprintf("defended/%s/%v", a.name, a.proto), a.name == "bogus" && a.proto == ProtoAGFW, cfg)
 	}
 
+	for _, mode := range []LocationServiceMode{LSALS, LSPlainDLM} {
+		add("ls/"+mode.String(), mode == LSALS, lsDigestConfig(mode))
+	}
+
 	for _, b := range lbs.Backends() {
 		cfg := lbs.DefaultConfig()
 		cfg.Clients = 40
@@ -247,6 +253,16 @@ func digestCells() []digestCell {
 		cells = append(cells, digestCell{label: "lbs/" + string(b), short: b == lbs.BackendKAnon, lbs: &cfg})
 	}
 	return cells
+}
+
+// lsDigestConfig is a 40-node, 40 s cell on the in-band location
+// service in mode.
+func lsDigestConfig(mode LocationServiceMode) Config {
+	cfg := DefaultConfig()
+	cfg.Nodes = 40
+	cfg.Duration = 40 * time.Second
+	cfg.LocationService = mode
+	return cfg
 }
 
 // digestOf runs cfg and returns its result digest.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rsa"
+	"sort"
 	"time"
 
 	"anongeo/internal/anoncrypto"
@@ -159,6 +160,7 @@ type alsRecord struct {
 	sealed locservice.SealedLocation
 	seen   sim.Time
 	cell   geo.Cell
+	seq    uint64 // store-write order, see lsOverlay.seq
 }
 
 // plainRecord is one stored DLM entry with its home cell for handoff.
@@ -166,6 +168,7 @@ type plainRecord struct {
 	loc  geo.Point
 	seen sim.Time
 	cell geo.Cell
+	seq  uint64
 }
 
 // lsOverlay is one node's location-service state: every node is
@@ -180,6 +183,10 @@ type lsOverlay struct {
 
 	alsStore   map[locservice.Index]alsRecord
 	plainStore map[anoncrypto.Identity]plainRecord
+	// seq stamps each store write, so a handoff batch lists its records
+	// in arrival order. Store keys cannot order them: ALS indexes derive
+	// from random keys.
+	seq uint64
 
 	lastUpLoc geo.Point
 	lastUpAt  sim.Time
@@ -291,7 +298,7 @@ func (o *lsOverlay) handoffStrandedRecords() {
 	stranded := func(c geo.Cell) bool {
 		return grid.CellOf(here) != c && here.Dist(grid.Center(c)) > grid.Size
 	}
-	alsBatches := map[geo.Cell][]lsALSHand{}
+	alsBatches := map[geo.Cell][]stamped[lsALSHand]{}
 	for idx, rec := range o.alsStore {
 		if now-rec.seen > ttl {
 			delete(o.alsStore, idx)
@@ -299,15 +306,16 @@ func (o *lsOverlay) handoffStrandedRecords() {
 		}
 		if stranded(rec.cell) {
 			delete(o.alsStore, idx)
-			alsBatches[rec.cell] = append(alsBatches[rec.cell], lsALSHand{Index: idx, Sealed: rec.sealed, Seen: rec.seen})
+			alsBatches[rec.cell] = append(alsBatches[rec.cell],
+				stamped[lsALSHand]{rec.seq, lsALSHand{Index: idx, Sealed: rec.sealed, Seen: rec.seen}})
 		}
 	}
-	for cell, recs := range alsBatches {
+	inCellOrder(alsBatches, func(cell geo.Cell, recs []lsALSHand) {
 		o.port.SendGeocast(grid.Center(cell),
 			lsALSBatch{Cell: cell, Recs: recs},
 			1+len(recs)*(64+64+8), o.net.nextCtrlID())
-	}
-	plainBatches := map[geo.Cell][]lsPlainHand{}
+	})
+	plainBatches := map[geo.Cell][]stamped[lsPlainHand]{}
 	for id, rec := range o.plainStore {
 		if now-rec.seen > ttl {
 			delete(o.plainStore, id)
@@ -315,13 +323,46 @@ func (o *lsOverlay) handoffStrandedRecords() {
 		}
 		if stranded(rec.cell) {
 			delete(o.plainStore, id)
-			plainBatches[rec.cell] = append(plainBatches[rec.cell], lsPlainHand{ID: id, Loc: rec.loc, Seen: rec.seen})
+			plainBatches[rec.cell] = append(plainBatches[rec.cell],
+				stamped[lsPlainHand]{rec.seq, lsPlainHand{ID: id, Loc: rec.loc, Seen: rec.seen}})
 		}
 	}
-	for cell, recs := range plainBatches {
+	inCellOrder(plainBatches, func(cell geo.Cell, recs []lsPlainHand) {
 		o.port.SendGeocast(grid.Center(cell),
 			lsPlainBatch{Cell: cell, Recs: recs},
 			1+len(recs)*24, o.net.nextCtrlID())
+	})
+}
+
+// stamped is a handoff record with the store-write sequence number it
+// is ordered by.
+type stamped[H any] struct {
+	seq uint64
+	h   H
+}
+
+// inCellOrder calls send once per cell of batches, cells in (row, col)
+// order and each cell's records in store-write order, so the geocasts
+// leave in an order fixed by the run rather than by map iteration.
+func inCellOrder[H any](batches map[geo.Cell][]stamped[H], send func(geo.Cell, []H)) {
+	cells := make([]geo.Cell, 0, len(batches))
+	for c := range batches {
+		cells = append(cells, c)
+	}
+	sort.Slice(cells, func(i, j int) bool {
+		if cells[i].Row != cells[j].Row {
+			return cells[i].Row < cells[j].Row
+		}
+		return cells[i].Col < cells[j].Col
+	})
+	for _, c := range cells {
+		recs := batches[c]
+		sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+		hs := make([]H, len(recs))
+		for i, r := range recs {
+			hs[i] = r.h
+		}
+		send(c, hs)
 	}
 }
 
@@ -353,7 +394,12 @@ func (o *lsOverlay) sendUpdates() {
 			if err != nil {
 				return
 			}
-			for cell, us := range updates {
+			// Send in home-cell order, not map order, so the geocasts
+			// leave in an order fixed by the run. A cell listed twice
+			// is sent once: its slice already holds both replicas.
+			for _, cell := range o.ssa.HomeCells(o.node.ID) {
+				us := updates[cell]
+				delete(updates, cell)
 				for _, u := range us {
 					o.stats.Updates++
 					o.port.SendGeocast(o.ssa.Grid.Center(cell),
@@ -434,6 +480,12 @@ func (o *lsOverlay) finishResolution(res *lsResolution, loc geo.Point, ok bool) 
 	res.conts = nil
 }
 
+// stamp returns the next store-write sequence number.
+func (o *lsOverlay) stamp() uint64 {
+	o.seq++
+	return o.seq
+}
+
 // onGeocast is the server/requester-side message dispatcher.
 func (o *lsOverlay) onGeocast(payload any, _ int) {
 	now := o.net.Eng.Now()
@@ -445,7 +497,7 @@ func (o *lsOverlay) onGeocast(payload any, _ int) {
 			seen = now
 		}
 		if old, ok := o.plainStore[m.ID]; !ok || seen >= old.seen {
-			o.plainStore[m.ID] = plainRecord{loc: m.Loc, seen: seen, cell: m.Cell}
+			o.plainStore[m.ID] = plainRecord{loc: m.Loc, seen: seen, cell: m.Cell, seq: o.stamp()}
 		}
 	case lsALSUpdate:
 		seen := m.Seen
@@ -453,7 +505,7 @@ func (o *lsOverlay) onGeocast(payload any, _ int) {
 			seen = now
 		}
 		if old, ok := o.alsStore[m.U.Index]; !ok || seen >= old.seen {
-			o.alsStore[m.U.Index] = alsRecord{sealed: m.U.Sealed, seen: seen, cell: m.Cell}
+			o.alsStore[m.U.Index] = alsRecord{sealed: m.U.Sealed, seen: seen, cell: m.Cell, seq: o.stamp()}
 		}
 	case lsPlainQuery:
 		rec, ok := o.plainStore[m.Target]
@@ -468,13 +520,13 @@ func (o *lsOverlay) onGeocast(payload any, _ int) {
 	case lsALSBatch:
 		for _, h := range m.Recs {
 			if old, ok := o.alsStore[h.Index]; !ok || h.Seen >= old.seen {
-				o.alsStore[h.Index] = alsRecord{sealed: h.Sealed, seen: h.Seen, cell: m.Cell}
+				o.alsStore[h.Index] = alsRecord{sealed: h.Sealed, seen: h.Seen, cell: m.Cell, seq: o.stamp()}
 			}
 		}
 	case lsPlainBatch:
 		for _, h := range m.Recs {
 			if old, ok := o.plainStore[h.ID]; !ok || h.Seen >= old.seen {
-				o.plainStore[h.ID] = plainRecord{loc: h.Loc, seen: h.Seen, cell: m.Cell}
+				o.plainStore[h.ID] = plainRecord{loc: h.Loc, seen: h.Seen, cell: m.Cell, seq: o.stamp()}
 			}
 		}
 	case lsALSQuery:

@@ -24,6 +24,26 @@ func TestLSModeString(t *testing.T) {
 	}
 }
 
+// TestLSReplaysIdentical runs one ALS and one DLM cell twice: the
+// overlay must send its geocasts in an order fixed by the run, not by
+// map iteration, so both runs produce the same result digest.
+func TestLSReplaysIdentical(t *testing.T) {
+	for _, mode := range []LocationServiceMode{LSALS, LSPlainDLM} {
+		cfg := lsDigestConfig(mode)
+		a, err := digestOf(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := digestOf(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%v: replay digest %.16s, first run %.16s", mode, b, a)
+		}
+	}
+}
+
 func TestPlainDLMOverlayDelivers(t *testing.T) {
 	net, err := Build(lsConfig(LSPlainDLM))
 	if err != nil {

@@ -77,13 +77,12 @@ func Cacheable(cfg Config) bool {
 }
 
 // NewOrchestrator builds the experiment orchestrator the sweeps run on,
-// wired for core configs: core.Run as the cell runner, the Cacheable
+// wired for core configs: core.RunContext as the cell runner, the Cacheable
 // exemption, and simulated-duration telemetry. Callers with bespoke
 // grids (cmd/sweep's axis scans, cmd/figures' ablations) use it
 // directly with their own cells.
 func NewOrchestrator(opt SweepOptions) (*exp.Orchestrator[Config, Result], error) {
 	o := &exp.Orchestrator[Config, Result]{
-		Run:         Run,
 		RunCtx:      RunContext,
 		Parallel:    opt.Parallel,
 		Retries:     opt.Retries,

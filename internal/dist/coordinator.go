@@ -1,60 +1,46 @@
 // Package dist is the distributed sweep coordinator: the third tier of
 // the serving architecture (client → coordinator → worker fleet). A
-// coordinator accepts the same sweep grids the single-process daemon
-// does, enumerates their cells, shards the cells across N agrsimd
-// workers over the existing REST API as single-cell jobs, and folds the
-// returned results into exactly the points a single-process run would
-// produce — bit-identical, because every cell's config (seed included)
-// reaches the worker unchanged, core.Run is a pure function of its
-// config, and results round-trip through JSON exactly.
+// coordinator daemon accepts the same sweep grids the single-process
+// daemon does and runs them on the same orchestrator, but each cell
+// executes on one of N agrsimd workers, shipped over the existing REST
+// API as a single-cell job. The fold is exactly the points a
+// single-process run would produce — bit-identical, because every
+// cell's config (seed included) reaches the worker unchanged, core.Run
+// is a pure function of its config, and results round-trip through
+// JSON exactly.
 //
-// Scheduling is admission-aware and work-stealing:
+// Coordinator.RunCell is the per-cell remote runner, installed as the
+// sweep orchestrator's RunCtx through serve.Options.RunCell. The
+// orchestrator keeps its cache, retries, events, metrics hook and
+// cancellation; RunCell adds the fleet scheduling:
 //
 //   - a background probe loop drives each worker's /readyz and /metrics
-//     (queue depth and capacity, inflight jobs), and assignment only
-//     targets healthy workers with admission headroom;
-//   - a cell not completed within a dynamic deadline (a multiple of the
-//     fleet's recent per-cell completion EWMA, floored by StealAfter) is
-//     speculatively reassigned to another worker — first completion
-//     wins, later duplicates are discarded by the cell's content
-//     address;
-//   - a cell lost to a dead worker (refused connection, failed job) is
-//     reassigned immediately, up to a bounded number of attempts.
+//     (queue depth and capacity), and a dispatch only targets healthy
+//     workers with admission headroom;
+//   - a dispatch lost to its worker (refused connection, forgotten or
+//     failed worker job) is re-dispatched at once;
+//   - a cell not completed within a dynamic deadline (a multiple of
+//     the fleet's per-cell completion EWMA, floored by StealAfter) is
+//     hedged on another worker — first success wins, a later success
+//     is counted as a duplicate and discarded.
 //
-// Durability: with a journal directory configured, every assignment and
-// every folded cell is journaled to a per-grid WAL built on
-// internal/durable. A coordinator crash mid-grid resumes from the WAL —
-// already-folded cells are restored, only the remainder is
-// re-dispatched — and the serve job WAL above it re-admits the job
-// itself, so the whole three-tier stack survives kill -9 at any layer.
-//
-// dist plugs into internal/serve through serve.Options.Executor, so the
-// coordinator daemon exposes the identical HTTP API (submission,
-// dedupe, events, metrics, job WAL) and existing clients work
-// unchanged.
+// Durability comes from the orchestrator's content-addressed cache: a
+// folded cell is cached under its config's key, so after a coordinator
+// crash the serve job WAL re-admits the job and every finished cell is
+// a cache hit. Coordinator resume therefore needs the cache, like
+// -journal recovery everywhere.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"anongeo/internal/core"
-	"anongeo/internal/exp"
 	"anongeo/internal/serve"
-)
-
-// Event types the coordinator adds to the exp vocabulary; they flow
-// through the same job event stream as orchestrator events.
-const (
-	// EventCellStolen marks a straggler cell speculatively reassigned
-	// (or a cell re-dispatched after losing its worker).
-	EventCellStolen exp.EventType = "cell-stolen"
-	// EventCellDuplicate marks a second completion of an already-folded
-	// cell — the losing side of a steal race — discarded by content
-	// address.
-	EventCellDuplicate exp.EventType = "cell-duplicate"
 )
 
 // Options configures a Coordinator; zero values get defaults (see New).
@@ -73,38 +59,37 @@ type Options struct {
 	MaxInflight int
 	// ProbeInterval is the health/backpressure probe period (default 3s).
 	ProbeInterval time.Duration
-	// PollInterval is how often an assignment polls its worker job
+	// PollInterval is how often a dispatch polls its worker job, and
+	// how often a cell waiting for a worker with headroom looks again
 	// (default 150ms).
 	PollInterval time.Duration
 
 	// StealAfter floors the straggler deadline: a cell's newest
-	// assignment must be at least this old before it is speculatively
-	// reassigned (default 30s).
+	// dispatch must be at least this old before the cell is hedged on
+	// another worker (default 30s).
 	StealAfter time.Duration
 	// StealFactor scales the fleet's per-cell completion EWMA into the
 	// dynamic deadline, deadline = max(StealAfter, StealFactor × EWMA)
 	// (default 4).
 	StealFactor float64
-	// MaxAttempts bounds assignments per cell, steals included; a cell
-	// still failing after that many fails the grid like a failed
-	// orchestrator cell (default max(3, len(Workers)+1)).
+	// MaxAttempts bounds dispatches per cell, hedges included; a cell
+	// still failing after that many fails like any failed orchestrator
+	// cell (default max(3, len(Workers)+1)).
 	MaxAttempts int
 
-	// JournalDir, when non-empty, enables the per-grid fold WAL under
-	// <JournalDir>/grids/ (see wal.go). Point it at the same directory
-	// as the serve job WAL.
-	JournalDir string
 	// Logf receives coordinator log lines; default silent.
 	Logf func(format string, args ...any)
 }
 
-// Coordinator shards sweep grids across a worker fleet. One Coordinator
-// serves any number of concurrent grids (each execute call owns its
-// state); Close stops the probe loop.
+// Coordinator runs sweep cells on a worker fleet. RunCell is safe for
+// concurrent use; Close stops the probe loop.
 type Coordinator struct {
 	opts Options
 	pool *pool
 	met  coordMetrics
+
+	ewmaMu sync.Mutex
+	ewma   time.Duration // fleet-wide per-cell completion EWMA
 }
 
 // New validates opts, builds the fleet state, probes every worker once,
@@ -148,13 +133,9 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the probe loop. In-flight execute calls keep running on
+// Close stops the probe loop. In-flight RunCell calls keep running on
 // their last-known fleet state.
 func (c *Coordinator) Close() { c.pool.close() }
-
-// Executor adapts the coordinator to serve.Options.Executor, which is
-// how cmd/agrsimd -workers wires it under the daemon's HTTP surface.
-func (c *Coordinator) Executor() serve.Executor { return c.execute }
 
 // HealthyWorkers reports how many workers currently pass probes.
 func (c *Coordinator) HealthyWorkers() int { return c.pool.healthyCount() }
@@ -176,400 +157,217 @@ func cellRequest(cfg core.Config) serve.SweepRequest {
 	}
 }
 
-// assignment is one live (cell, worker) dispatch.
-type assignment struct {
-	worker  *workerState
-	started time.Time
-	cancel  context.CancelFunc
+// cellName labels a cell in log lines.
+func cellName(cfg core.Config) string {
+	return fmt.Sprintf("cell %v/N%d/seed%d", cfg.Protocol, cfg.Nodes, cfg.Seed)
 }
 
-// asgResult is what a dispatch goroutine reports back to the grid loop.
-type asgResult struct {
-	idx  int
-	asg  *assignment
+// attempt is one dispatch's report back to RunCell.
+type attempt struct {
+	w    *workerState
 	res  core.Result
 	err  error
 	wall time.Duration
-	// workerDown marks transport-level failures (vs a job that ran and
-	// failed), so the loop can distinguish a sick worker from a sick
-	// cell.
-	workerDown bool
 }
 
-// execute runs one grid across the fleet: enumerate, resume from the
-// WAL, dispatch/steal until every cell folds, return outcomes in input
-// order. It mirrors exp.Orchestrator.ExecuteContext semantics: partial
-// failures fail only their cells (joined error alongside full
-// outcomes), cancellation abandons incomplete cells with ctx's error.
-func (c *Coordinator) execute(ctx context.Context, req serve.SweepRequest, cells []exp.Cell[core.Config], hook exp.Hook) ([]exp.Outcome[core.Result], error) {
-	n := len(cells)
-	outs := make([]exp.Outcome[core.Result], n)
+// RunCell executes one cell on the fleet and returns its result. It is
+// the RunCtx of the daemon's sweep orchestrator (serve.Options.RunCell),
+// so the orchestrator keeps everything a local cell gets: the cache,
+// retries, events, metrics and cancellation.
+//
+// RunCell dispatches the cell to the least-loaded worker with headroom,
+// waiting for one at PollInterval when none qualifies. A dispatch lost
+// to its worker (transport failure, forgotten or failed worker job) is
+// re-dispatched at once unless another dispatch of the cell is still
+// running. A cell not completed within the straggler deadline is hedged
+// on a worker not already running it; the first success wins and the
+// others are canceled. MaxAttempts bounds the dispatches.
+func (c *Coordinator) RunCell(ctx context.Context, cfg core.Config) (core.Result, error) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the losing dispatches before the Wait
+	// Buffered for every dispatch this call may make, so a dispatch
+	// finishing after the loop stopped reading never blocks.
+	results := make(chan attempt, c.opts.MaxAttempts)
+	var won atomic.Bool
+	running := make(map[*workerState]bool)
+	dispatches := 0
+	var lastErr error
 
-	// Content addresses: the cell's cache key is its global identity —
-	// the same key a worker's cache files the result under, and the
-	// dedupe handle for duplicate completions.
-	keys := make([]string, n)
-	indicesByKey := make(map[string][]int, n)
-	for i, cell := range cells {
-		k, err := exp.KeyOf(cell.Config)
-		if err != nil {
-			return nil, fmt.Errorf("dist: cell %q not addressable: %w", cell.Label, err)
-		}
-		keys[i] = k
-		indicesByKey[k] = append(indicesByKey[k], i)
-		outs[i] = exp.Outcome[core.Result]{Label: cell.Label, Index: i}
-	}
-	gridID, err := exp.KeyOf(req)
-	if err != nil {
-		return nil, fmt.Errorf("dist: grid not addressable: %w", err)
-	}
-
-	// Grid state, owned by this goroutine: dispatch goroutines only
-	// touch it through the results channel.
-	completed := make([]bool, n)
-	attempts := make([]int, n)
-	live := make(map[int][]*assignment)
-	pendingSet := make(map[int]bool)
-	var pending []int
-	done, cached, failed := 0, 0, 0
-	var ewma time.Duration
-
-	emit := func(ev exp.Event) {
-		if hook == nil {
-			return
-		}
-		ev.Done, ev.CachedCells, ev.FailedCells = done, cached, failed
-		hook.Emit(ev)
-	}
-
-	// Resume: restore every cell a previous coordinator run already
-	// folded. The WAL validated each record's key against this grid, so
-	// restored results are exactly what the original fold held.
-	var wal *gridWAL
-	if c.opts.JournalDir != "" {
-		var resumed map[int]core.Result
-		wal, resumed, err = openGridWAL(c.opts.JournalDir, gridID, keys, c.opts.Logf)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range resumed {
-			outs[i].Value = r
-			outs[i].Cached = true
-			completed[i] = true
-			done++
-			cached++
-			c.met.cellsResumed.Add(1)
-		}
-		if len(resumed) > 0 {
-			c.opts.Logf("dist: grid %s resumed %d/%d cells from journal", gridID[:12], len(resumed), n)
-		}
-	}
-	c.met.gridsExecuted.Add(1)
-	emit(exp.Event{Type: exp.EventRunStarted, Total: n, Workers: c.pool.healthyCount()})
-	for i := range cells {
-		if completed[i] {
-			emit(exp.Event{Type: exp.EventCellCached, Label: cells[i].Label, Index: i, Total: n, Key: keys[i]})
-		}
-	}
-
-	// Queue each key's primary index; secondary indices (identical
-	// configs, if a grid ever repeats one) fill on the primary's
-	// completion.
-	for i := range cells {
-		if completed[i] || indicesByKey[keys[i]][0] != i {
-			continue
-		}
-		pending = append(pending, i)
-		pendingSet[i] = true
-	}
-
-	gridCtx, cancelGrid := context.WithCancel(ctx)
-	defer cancelGrid()
-	results := make(chan asgResult)
-	start := time.Now()
-
-	dispatch := func() {
-		var rest []int
-		for _, idx := range pending {
-			delete(pendingSet, idx)
-			if completed[idx] {
-				continue
-			}
-			// Never double-assign a cell to a worker already running it:
-			// the worker would just dedupe the POST onto the same job.
-			except := make(map[*workerState]bool, len(live[idx]))
-			for _, a := range live[idx] {
-				except[a.worker] = true
-			}
-			w := c.pool.pick(c.opts.MaxInflight, except)
-			if w == nil {
-				rest = append(rest, idx)
-				pendingSet[idx] = true
-				continue
-			}
-			attempts[idx]++
-			w.mu.Lock()
-			w.inflight++
-			w.mu.Unlock()
-			c.met.cellsAssigned.Add(1)
-			wal.assign(idx, keys[idx], w.url)
-			actx, acancel := context.WithCancel(gridCtx)
-			a := &assignment{worker: w, started: time.Now(), cancel: acancel}
-			live[idx] = append(live[idx], a)
-			go c.runAssignment(actx, w, a, idx, cells[idx].Config, results)
-		}
-		pending = rest
-	}
-
-	// finishCell folds one completed result into every index sharing its
-	// content address, journals it, and cancels that cell's other
-	// in-flight attempts (first completion won).
-	finishCell := func(idx int, res core.Result, wall time.Duration) {
-		key := keys[idx]
-		for _, j := range indicesByKey[key] {
-			if completed[j] {
-				continue
-			}
-			outs[j].Value = res
-			outs[j].Err = nil
-			outs[j].Attempts = attempts[idx]
-			outs[j].Wall = wall
-			completed[j] = true
-			done++
-			wal.done(j, key, res)
-			emit(exp.Event{Type: exp.EventCellFinished, Label: cells[j].Label, Index: j, Total: n,
-				Attempt: attempts[idx], Wall: wall})
-		}
-		for _, a := range live[idx] {
-			a.cancel()
-		}
-		if ewma == 0 {
-			ewma = wall
-		} else {
-			ewma = (ewma*7 + wall) / 8
-		}
-	}
-
-	// stealScan requeues stragglers: a cell whose newest attempt is
-	// older than the dynamic deadline, when another worker could take
-	// it.
-	stealScan := func() {
-		deadline := c.opts.StealAfter
-		if ewma > 0 {
-			if d := time.Duration(c.opts.StealFactor * float64(ewma)); d > deadline {
-				deadline = d
-			}
-		}
-		now := time.Now()
-		for idx, asgs := range live {
-			if completed[idx] || pendingSet[idx] || len(asgs) == 0 || attempts[idx] >= c.opts.MaxAttempts {
-				continue
-			}
-			stale := true
-			except := make(map[*workerState]bool, len(asgs))
-			for _, a := range asgs {
-				if now.Sub(a.started) < deadline {
-					stale = false
-					break
-				}
-				except[a.worker] = true
-			}
-			if !stale || c.pool.pick(c.opts.MaxInflight, except) == nil {
-				continue
-			}
-			pending = append(pending, idx)
-			pendingSet[idx] = true
+	hedge := time.NewTimer(time.Hour)
+	defer hedge.Stop()
+	launch := func(w *workerState) {
+		if dispatches > 0 {
 			c.met.cellsStolen.Add(1)
-			c.opts.Logf("dist: stealing cell %d (%s): no completion in %v", idx, cells[idx].Label, deadline.Round(time.Millisecond))
-			emit(exp.Event{Type: EventCellStolen, Label: cells[idx].Label, Index: idx, Total: n,
-				Attempt: attempts[idx], Err: fmt.Sprintf("straggler: no completion within %v", deadline.Round(time.Millisecond))})
 		}
-	}
-
-	ticker := time.NewTicker(c.stealTick())
-	defer ticker.Stop()
-	for done < n && ctx.Err() == nil {
-		dispatch()
-		select {
-		case r := <-results:
-			live[r.idx] = removeAssignment(live[r.idx], r.asg)
-			switch {
-			case r.err == nil && completed[r.idx]:
-				// The losing side of a steal race: a full result for a
-				// cell another worker already folded.
-				c.met.cellsDuplicate.Add(1)
-				emit(exp.Event{Type: EventCellDuplicate, Label: cells[r.idx].Label, Index: r.idx, Total: n, Key: keys[r.idx]})
-			case r.err == nil:
-				finishCell(r.idx, r.res, r.wall)
-			case gridCtx.Err() != nil || errors.Is(r.err, context.Canceled):
-				// Canceled straggler or grid teardown: not a failure.
-			case completed[r.idx]:
-				// A failed attempt for an already-folded cell: ignore.
-			case attempts[r.idx] >= c.opts.MaxAttempts:
-				outs[r.idx].Err = r.err
-				outs[r.idx].Attempts = attempts[r.idx]
-				completed[r.idx] = true
-				done++
-				failed++
-				emit(exp.Event{Type: exp.EventCellFinished, Label: cells[r.idx].Label, Index: r.idx, Total: n,
-					Attempt: attempts[r.idx], Wall: r.wall, Err: r.err.Error()})
+		dispatches++
+		c.met.cellsAssigned.Add(1)
+		running[w] = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.dispatch(ctx, w, cfg, &won, results)
+		}()
+		if !hedge.Stop() {
+			select { // drop a tick the loop did not consume
+			case <-hedge.C:
 			default:
-				// Lost attempt (dead worker, failed worker job): reassign.
-				if !pendingSet[r.idx] {
-					pending = append(pending, r.idx)
-					pendingSet[r.idx] = true
-				}
-				c.met.cellsStolen.Add(1)
-				c.opts.Logf("dist: reassigning cell %d (%s) after %v", r.idx, cells[r.idx].Label, r.err)
-				emit(exp.Event{Type: EventCellStolen, Label: cells[r.idx].Label, Index: r.idx, Total: n,
-					Attempt: attempts[r.idx], Err: r.err.Error()})
 			}
-		case <-ticker.C:
-			stealScan()
-		case <-ctx.Done():
 		}
+		hedge.Reset(c.stealDeadline())
 	}
-	cancelGrid()
 
-	if err := ctx.Err(); err != nil {
-		for i := range cells {
-			if completed[i] {
+	for {
+		if len(running) == 0 {
+			if dispatches >= c.opts.MaxAttempts {
+				return core.Result{}, fmt.Errorf("dist: %d dispatches failed, last: %w", dispatches, lastErr)
+			}
+			w, err := c.waitWorker(ctx)
+			if err != nil {
+				return core.Result{}, err
+			}
+			if lastErr != nil {
+				c.opts.Logf("dist: re-dispatching %s to %s after %v", cellName(cfg), w.url, lastErr)
+			}
+			launch(w)
+		}
+		select {
+		case a := <-results:
+			delete(running, a.w)
+			if a.err == nil {
+				c.observe(a.wall)
+				return a.res, nil
+			}
+			lastErr = a.err
+		case <-hedge.C:
+			if dispatches >= c.opts.MaxAttempts {
 				continue
 			}
-			outs[i].Err = err
-			outs[i].Attempts = attempts[i]
-			failed++
-			emit(exp.Event{Type: exp.EventCellCanceled, Label: cells[i].Label, Index: i, Total: n, Err: err.Error()})
-		}
-	}
-
-	var errs []error
-	for _, o := range outs {
-		if o.Err != nil {
-			errs = append(errs, fmt.Errorf("cell %q: %w", o.Label, o.Err))
-		}
-	}
-	emit(exp.Event{Type: exp.EventRunFinished, Total: n, Wall: time.Since(start)})
-	joined := errors.Join(errs...)
-	if joined == nil {
-		// Clean completion: the serve job WAL's done record now carries
-		// the folded points, so the per-cell journal retires.
-		wal.retire()
-	} else {
-		wal.close()
-	}
-	return outs, joined
-}
-
-// stealTick is the grid loop's housekeeping period: frequent enough to
-// steal promptly at test-scale deadlines, cheap at production ones.
-func (c *Coordinator) stealTick() time.Duration {
-	tick := c.opts.StealAfter / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	return tick
-}
-
-// runAssignment drives one (cell, worker) dispatch: submit the
-// single-cell job, poll until terminal, report back. The worker's
-// content-address dedupe makes the POST idempotent, so client retries
-// inside SubmitSweep are safe.
-func (c *Coordinator) runAssignment(ctx context.Context, w *workerState, a *assignment, idx int, cfg core.Config, results chan<- asgResult) {
-	defer func() {
-		w.mu.Lock()
-		w.inflight--
-		w.mu.Unlock()
-	}()
-	report := func(r asgResult) {
-		r.idx, r.asg = idx, a
-		r.wall = time.Since(a.started)
-		select {
-		case results <- r:
-		case <-ctx.Done():
-			// This attempt was superseded (steal race lost) or the grid is
-			// tearing down. Mid-grid the loop still drains, so give the
-			// report — e.g. a duplicate completion worth counting — a short
-			// window before dropping it.
-			select {
-			case results <- r:
-			case <-time.After(50 * time.Millisecond):
+			w := c.pool.pick(c.opts.MaxInflight, running)
+			if w == nil {
+				hedge.Reset(c.opts.PollInterval) // no spare worker yet
+				continue
 			}
+			c.opts.Logf("dist: hedging straggler %s on %s", cellName(cfg), w.url)
+			launch(w)
+		case <-ctx.Done():
+			return core.Result{}, ctx.Err()
 		}
 	}
+}
 
+// waitWorker reserves the least-loaded available worker, polling until
+// one qualifies or ctx ends.
+func (c *Coordinator) waitWorker(ctx context.Context) (*workerState, error) {
+	for ctx.Err() == nil {
+		if w := c.pool.pick(c.opts.MaxInflight, nil); w != nil {
+			return w, nil
+		}
+		select {
+		case <-time.After(c.opts.PollInterval):
+		case <-ctx.Done():
+		}
+	}
+	return nil, ctx.Err()
+}
+
+// stealDeadline is how long a cell's newest dispatch may run before
+// the cell is hedged: max(StealAfter, StealFactor × EWMA).
+func (c *Coordinator) stealDeadline() time.Duration {
+	c.ewmaMu.Lock()
+	ewma := c.ewma
+	c.ewmaMu.Unlock()
+	if d := time.Duration(c.opts.StealFactor * float64(ewma)); d > c.opts.StealAfter {
+		return d
+	}
+	return c.opts.StealAfter
+}
+
+// observe folds a winning dispatch's wall time into the fleet-wide
+// completion EWMA.
+func (c *Coordinator) observe(wall time.Duration) {
+	c.ewmaMu.Lock()
+	if c.ewma == 0 {
+		c.ewma = wall
+	} else {
+		c.ewma = (c.ewma*7 + wall) / 8
+	}
+	c.ewmaMu.Unlock()
+}
+
+// dispatch drives one (cell, worker) attempt on a worker slot reserved
+// by pick: submit the single-cell job, poll it to a terminal state,
+// report. The worker's content-address dedupe makes the POST
+// idempotent, so client retries inside SubmitSweep are safe. A success
+// after another dispatch of the cell already won counts as a
+// duplicate.
+func (c *Coordinator) dispatch(ctx context.Context, w *workerState, cfg core.Config, won *atomic.Bool, results chan<- attempt) {
+	defer w.release()
+	start := time.Now()
+	res, err := c.runOn(ctx, w, cfg)
+	if err == nil && !won.CompareAndSwap(false, true) {
+		c.met.cellsDuplicate.Add(1)
+		c.opts.Logf("dist: duplicate completion of %s from %s discarded", cellName(cfg), w.url)
+	}
+	results <- attempt{w: w, res: res, err: err, wall: time.Since(start)}
+}
+
+// runOn submits cfg to w as a single-cell job and polls it to a
+// terminal state. A transport failure marks the worker unhealthy.
+func (c *Coordinator) runOn(ctx context.Context, w *workerState, cfg core.Config) (core.Result, error) {
 	sub, err := w.client.SubmitSweep(ctx, cellRequest(cfg))
 	if err != nil {
-		w.markFailure()
-		report(asgResult{err: fmt.Errorf("submit to %s: %w", w.url, err), workerDown: true})
-		return
+		if ctx.Err() == nil {
+			w.markFailure()
+		}
+		return core.Result{}, fmt.Errorf("submit to %s: %w", w.url, err)
 	}
 	t := time.NewTicker(c.opts.PollInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			report(asgResult{err: ctx.Err()})
-			return
+			return core.Result{}, ctx.Err()
 		case <-t.C:
 		}
 		st, err := w.client.Job(ctx, sub.ID)
-		if err != nil {
-			if IsNotFound(err) {
-				// The worker restarted without a journal and forgot the
-				// job: a lost attempt, not a dead worker.
-				report(asgResult{err: fmt.Errorf("worker %s lost job %s", w.url, sub.ID)})
-				return
+		switch {
+		case IsNotFound(err):
+			// The worker restarted without a journal and forgot the
+			// job: a lost dispatch, not a dead worker.
+			return core.Result{}, fmt.Errorf("worker %s lost job %s", w.url, sub.ID)
+		case err != nil:
+			if ctx.Err() == nil {
+				w.markFailure()
 			}
-			w.markFailure()
-			report(asgResult{err: fmt.Errorf("poll %s: %w", w.url, err), workerDown: true})
-			return
+			return core.Result{}, fmt.Errorf("poll %s: %w", w.url, err)
 		}
 		switch st.State {
 		case serve.JobDone:
 			if len(st.Points) != 1 {
-				report(asgResult{err: fmt.Errorf("worker %s returned %d points for a single-cell job", w.url, len(st.Points))})
-				return
+				return core.Result{}, fmt.Errorf("worker %s returned %d points for a single-cell job", w.url, len(st.Points))
 			}
-			report(asgResult{res: st.Points[0].Result})
-			return
+			return st.Points[0].Result, nil
 		case serve.JobFailed, serve.JobCanceled:
-			report(asgResult{err: fmt.Errorf("worker %s job %s: %s", w.url, st.State, st.Error)})
-			return
+			return core.Result{}, fmt.Errorf("worker %s job %s: %s", w.url, st.State, st.Error)
 		}
 	}
-}
-
-// removeAssignment drops a from list, preserving order.
-func removeAssignment(list []*assignment, a *assignment) []*assignment {
-	for i, x := range list {
-		if x == a {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // Stats is a snapshot of the coordinator's counters, for tests and
 // logs; the /metrics rendering is WriteMetrics.
 type Stats struct {
-	Grids      int64
 	Assigned   int64
 	Stolen     int64
 	Duplicates int64
-	Resumed    int64
 }
 
 // Stats samples the coordinator's counters.
 func (c *Coordinator) Stats() Stats {
 	return Stats{
-		Grids:      c.met.gridsExecuted.Load(),
 		Assigned:   c.met.cellsAssigned.Load(),
 		Stolen:     c.met.cellsStolen.Load(),
 		Duplicates: c.met.cellsDuplicate.Load(),
-		Resumed:    c.met.cellsResumed.Load(),
 	}
 }

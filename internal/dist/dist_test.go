@@ -7,8 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,16 +98,22 @@ func newCoord(t *testing.T, urls []string, mod func(*Options)) *Coordinator {
 }
 
 // newFront exposes coord under the full serve HTTP surface — the
-// coordinator daemon as cmd/agrsimd -workers runs it.
-func newFront(t *testing.T, coord *Coordinator) *httptest.Server {
+// coordinator daemon as cmd/agrsimd -workers runs it, orchestrator
+// width workers × MaxInflight; mod tweaks the serve options further.
+func newFront(t *testing.T, coord *Coordinator, mod func(*serve.Options)) (*httptest.Server, *serve.Server) {
 	t.Helper()
-	srv, err := serve.New(serve.Options{
+	opts := serve.Options{
 		QueueDepth:   8,
 		JobWorkers:   2,
 		MaxCells:     64,
-		Executor:     coord.Executor(),
+		Parallel:     len(coord.pool.workers) * coord.opts.MaxInflight,
+		RunCell:      coord.RunCell,
 		ExtraMetrics: coord.WriteMetrics,
-	})
+	}
+	if mod != nil {
+		mod(&opts)
+	}
+	srv, err := serve.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func newFront(t *testing.T, coord *Coordinator) *httptest.Server {
 		defer cancel()
 		_ = srv.Manager().Drain(ctx)
 	})
-	return ts
+	return ts, srv
 }
 
 // runSweep submits req against a daemon (worker or coordinator — same
@@ -166,7 +172,7 @@ func pointsJSON(t *testing.T, pts []serve.SweepPoint) []byte {
 func TestDistributedFoldBitIdentical(t *testing.T) {
 	w1, w2, w3 := newWorker(t, nil), newWorker(t, nil), newWorker(t, nil)
 	coord := newCoord(t, []string{w1.URL, w2.URL, w3.URL}, nil)
-	front := newFront(t, coord)
+	front, _ := newFront(t, coord, nil)
 	local := newWorker(t, nil) // single-process reference
 
 	req := serve.SweepRequest{
@@ -188,9 +194,6 @@ func TestDistributedFoldBitIdentical(t *testing.T) {
 	st := coord.Stats()
 	if st.Assigned != 8 { // 2 node counts × 2 protocols × 2 repeats
 		t.Errorf("cells assigned = %d, want 8", st.Assigned)
-	}
-	if st.Grids != 1 {
-		t.Errorf("grids = %d, want 1", st.Grids)
 	}
 
 	// The coordinator's /metrics carries the fleet series alongside the
@@ -241,7 +244,7 @@ func TestWorkerDeathMidGrid(t *testing.T) {
 	coord := newCoord(t, []string{victim.URL, survivor.URL}, func(o *Options) {
 		o.MaxInflight = 2
 	})
-	front := newFront(t, coord)
+	front, _ := newFront(t, coord, nil)
 	local := newWorker(t, nil)
 
 	req := serve.SweepRequest{
@@ -295,7 +298,7 @@ func TestStragglerStealing(t *testing.T) {
 		o.StealFactor = 1
 		o.MaxInflight = 4
 	})
-	front := newFront(t, coord)
+	front, _ := newFront(t, coord, nil)
 	local := newWorker(t, nil)
 
 	req := serve.SweepRequest{
@@ -319,76 +322,73 @@ type hookFunc func(exp.Event)
 
 func (f hookFunc) Emit(ev exp.Event) { f(ev) }
 
-// TestCoordinatorWALResume cancels a journaled grid after its first
-// folded cell, then finishes it with a fresh coordinator: the folded
-// cell must come back from the journal (zero recomputation), the rest
-// must be dispatched, and the final outcomes must match an unjournaled
-// run exactly.
-func TestCoordinatorWALResume(t *testing.T) {
+// TestCoordinatorCacheResume cancels a coordinator job after its first
+// folded cell, then runs the same grid through a fresh coordinator over
+// the same cache directory, as after a crash: the folded cell must come
+// back from the cache (zero recomputation), only the rest may be
+// dispatched, and the fold must match a single-process run exactly.
+func TestCoordinatorCacheResume(t *testing.T) {
 	w := newWorker(t, nil)
-	dir := t.TempDir()
-
+	local := newWorker(t, nil)
+	cacheDir := t.TempDir()
 	req := serve.SweepRequest{
 		Base:       tinyBase(),
 		NodeCounts: []int{10, 12, 14},
 		Protocols:  []string{"gpsr"},
 		Repeats:    1,
 	}
-	cells := core.SweepCells(req.Base, req.NodeCounts, []core.Protocol{core.ProtoGPSR}, 1)
+	const cells = 3
 
-	ref := newCoord(t, []string{w.URL}, nil)
-	refOuts, err := ref.execute(context.Background(), req, cells, nil)
+	// Run 1: one cell at a time; the first folded cell cancels the job.
+	c1 := newCoord(t, []string{w.URL}, func(o *Options) { o.MaxInflight = 1 })
+	var man *serve.Manager
+	var once sync.Once
+	front1, srv1 := newFront(t, c1, func(o *serve.Options) {
+		o.CacheDir = cacheDir
+		o.Hooks = []exp.Hook{hookFunc(func(ev exp.Event) {
+			if ev.Type == exp.EventCellFinished && ev.Err == "" {
+				once.Do(func() {
+					for _, j := range man.Jobs() {
+						man.Cancel(j.ID)
+					}
+				})
+			}
+		})}
+	})
+	man = srv1.Manager()
+	sub, err := fastClient(front1.URL).SubmitSweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Run 1: serial dispatch, cancel as soon as one cell folds.
-	c1 := newCoord(t, []string{w.URL}, func(o *Options) {
-		o.JournalDir = dir
-		o.MaxInflight = 1
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	hook := hookFunc(func(ev exp.Event) {
-		if ev.Type == exp.EventCellFinished && ev.Err == "" {
-			cancel()
+	for st := serve.JobQueued; !st.Terminal(); {
+		time.Sleep(5 * time.Millisecond)
+		js, err := fastClient(front1.URL).Job(context.Background(), sub.ID)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if _, err := c1.execute(ctx, req, cells, hook); err == nil {
-		t.Fatal("canceled run reported success")
-	}
-	if c1.Stats().Assigned >= int64(len(cells)) {
-		t.Fatalf("run 1 assigned all %d cells; cancellation came too late to exercise resume", len(cells))
+		st = js.State
+		if st == serve.JobDone {
+			t.Fatal("run 1 finished; cancellation came too late to exercise resume")
+		}
 	}
 
-	// Run 2: a fresh coordinator (as after a crash) over the same
-	// journal dir.
-	c2 := newCoord(t, []string{w.URL}, func(o *Options) { o.JournalDir = dir })
-	outs, err := c2.execute(context.Background(), req, cells, nil)
+	// Run 2: a fresh coordinator and daemon over the same cache.
+	c2 := newCoord(t, []string{w.URL}, nil)
+	front2, _ := newFront(t, c2, func(o *serve.Options) { o.CacheDir = cacheDir })
+	distPts := runSweep(t, front2.URL, req)
+	js, err := fastClient(front2.URL).Job(context.Background(), sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c2.Stats()
-	if st.Resumed == 0 {
-		t.Fatal("nothing resumed from the journal")
+	cached := int64(js.Cells.Cached)
+	if cached == 0 {
+		t.Fatal("no cell served from the coordinator's cache")
 	}
-	if st.Assigned != int64(len(cells))-st.Resumed {
-		t.Errorf("assigned = %d, want %d: resumed cells must not be re-dispatched",
-			st.Assigned, int64(len(cells))-st.Resumed)
+	if st := c2.Stats(); st.Assigned != cells-cached {
+		t.Errorf("assigned = %d, want %d: cached cells must not be re-dispatched", st.Assigned, cells-cached)
 	}
-	for i := range outs {
-		if outs[i].Err != nil {
-			t.Fatalf("cell %d failed: %v", i, outs[i].Err)
-		}
-		got, _ := json.Marshal(outs[i].Value)
-		want, _ := json.Marshal(refOuts[i].Value)
-		if !bytes.Equal(got, want) {
-			t.Errorf("cell %d resumed value differs:\n got: %s\nwant: %s", i, got, want)
-		}
-	}
-	// Clean completion retires the grid journal.
-	if m, _ := filepath.Glob(filepath.Join(dir, gridWALDirName, "*.wal")); len(m) != 0 {
-		t.Errorf("journal not retired after clean completion: %v", m)
+	if d, l := pointsJSON(t, distPts), pointsJSON(t, runSweep(t, local.URL, req)); !bytes.Equal(d, l) {
+		t.Fatalf("resumed fold differs from single-process fold:\n dist: %s\nlocal: %s", d, l)
 	}
 }
 

@@ -11,11 +11,9 @@ import (
 // pool at scrape time, so the gauges can never drift from the
 // scheduler's actual view.
 type coordMetrics struct {
-	gridsExecuted  atomic.Int64
 	cellsAssigned  atomic.Int64
 	cellsStolen    atomic.Int64
 	cellsDuplicate atomic.Int64
-	cellsResumed   atomic.Int64
 }
 
 // WriteMetrics renders the coordinator's series in Prometheus text
@@ -30,11 +28,9 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 		len(c.pool.workers))
 	fmt.Fprintf(w, "# HELP dist_workers_healthy Workers passing health probes.\n# TYPE dist_workers_healthy gauge\ndist_workers_healthy %d\n",
 		c.pool.healthyCount())
-	counter("dist_grids_total", "Sweep grids executed by the coordinator.", c.met.gridsExecuted.Load())
-	counter("dist_cells_assigned_total", "Cell assignments dispatched to workers (reassignments included).", c.met.cellsAssigned.Load())
-	counter("dist_cells_stolen_total", "Cells reassigned by work-stealing (stragglers and lost workers).", c.met.cellsStolen.Load())
-	counter("dist_cells_duplicate_total", "Duplicate cell completions discarded by content address.", c.met.cellsDuplicate.Load())
-	counter("dist_cells_resumed_total", "Cells restored from the grid journal instead of recomputed.", c.met.cellsResumed.Load())
+	counter("dist_cells_assigned_total", "Cell dispatches to workers (re-dispatches and hedges included).", c.met.cellsAssigned.Load())
+	counter("dist_cells_stolen_total", "Cell dispatches beyond a cell's first (hedged stragglers and lost workers).", c.met.cellsStolen.Load())
+	counter("dist_cells_duplicate_total", "Cell completions discarded because another dispatch of the cell won.", c.met.cellsDuplicate.Load())
 
 	fmt.Fprintf(w, "# HELP dist_worker_inflight Cells this coordinator has in flight per worker.\n# TYPE dist_worker_inflight gauge\n")
 	for _, ws := range c.pool.workers {

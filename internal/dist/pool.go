@@ -18,7 +18,7 @@ type workerState struct {
 	mu       sync.Mutex
 	healthy  bool
 	load     Load
-	inflight int // cells this coordinator currently has assigned here
+	inflight int // cells this coordinator currently has dispatched here
 	failures int // consecutive dispatch/probe failures
 	probed   time.Time
 }
@@ -40,10 +40,20 @@ func (w *workerState) markFailure() {
 	w.mu.Unlock()
 }
 
+// release frees the slot pick reserved.
+func (w *workerState) release() {
+	w.mu.Lock()
+	w.inflight--
+	w.mu.Unlock()
+}
+
 // pool is the fleet: per-worker state plus a background probe loop
 // driving each worker's readyz and /metrics.
 type pool struct {
-	workers       []*workerState
+	workers []*workerState
+	// pickMu makes pick's choose-and-reserve atomic across the
+	// concurrent RunCell calls.
+	pickMu        sync.Mutex
 	probeInterval time.Duration
 	probeTimeout  time.Duration
 
@@ -133,12 +143,15 @@ func (p *pool) healthyCount() int {
 	return n
 }
 
-// pick chooses the least-loaded available worker: healthy, below the
+// pick chooses the least-loaded available worker and reserves one
+// inflight slot on it (freed by release): healthy, below the
 // coordinator's per-worker inflight cap, with admission headroom at the
 // worker's own queue (its scraped capacity minus depth, discounted by
 // what this coordinator already has in flight there), excluding any
 // worker in except. Returns nil when no worker qualifies.
 func (p *pool) pick(maxInflight int, except map[*workerState]bool) *workerState {
+	p.pickMu.Lock()
+	defer p.pickMu.Unlock()
 	var best *workerState
 	bestInflight := 0
 	for _, w := range p.workers {
@@ -160,6 +173,11 @@ func (p *pool) pick(maxInflight int, except map[*workerState]bool) *workerState 
 		if best == nil || inflight < bestInflight {
 			best, bestInflight = w, inflight
 		}
+	}
+	if best != nil {
+		best.mu.Lock()
+		best.inflight++
+		best.mu.Unlock()
 	}
 	return best
 }

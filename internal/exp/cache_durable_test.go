@@ -328,9 +328,9 @@ func TestOrchestratorEmitsCacheCorruptEvent(t *testing.T) {
 		}
 	})
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run:   fakeRun,
-		Cache: c,
-		Hooks: []Hook{hook},
+		RunCtx: withCtx(fakeRun),
+		Cache:  c,
+		Hooks:  []Hook{hook},
 	}
 	out, err := o.Execute([]Cell[fakeCfg]{{Label: "x", Config: cfg}})
 	if err != nil {

@@ -76,7 +76,7 @@ func TestExecuteContextCancelAbortsBackoff(t *testing.T) {
 	o := &Orchestrator[int, int]{
 		Retries: 1,
 		Backoff: time.Hour, // the test hangs here unless cancel interrupts the sleep
-		Run: func(int) (int, error) {
+		RunCtx: func(context.Context, int) (int, error) {
 			cancel()
 			return 0, errors.New("transient")
 		},
@@ -104,7 +104,7 @@ func TestExecuteContextCancelAbortsBackoff(t *testing.T) {
 func TestConcurrentExecuteSharedOrchestrator(t *testing.T) {
 	o := &Orchestrator[int, int]{
 		Parallel: 2,
-		Run:      func(v int) (int, error) { return v + 1, nil },
+		RunCtx:   func(_ context.Context, v int) (int, error) { return v + 1, nil },
 	}
 	const runs, cellsPer = 8, 12
 	errc := make(chan error, runs)

@@ -40,15 +40,12 @@ import (
 	"time"
 )
 
-// RunFunc executes one cell's config into a result. It must be safe to
-// call concurrently from multiple goroutines with distinct configs, and
-// should be a pure function of its config for cache correctness.
-type RunFunc[C, R any] func(C) (R, error)
-
-// CtxRunFunc is a cancellation-aware RunFunc: implementations should
-// return promptly (with ctx.Err or an error wrapping it) once ctx is
-// done, so job cancellation and daemon shutdown do not wait out a long
-// simulation.
+// CtxRunFunc executes one cell's config into a result. It must be safe
+// to call concurrently from multiple goroutines with distinct configs,
+// and should be a pure function of its config for cache correctness.
+// Implementations should return promptly (with ctx.Err or an error
+// wrapping it) once ctx is done, so job cancellation and daemon
+// shutdown do not wait out a long simulation.
 type CtxRunFunc[C, R any] func(context.Context, C) (R, error)
 
 // Cell is one unit of work: a config plus a human-readable label used
@@ -76,16 +73,13 @@ type Outcome[R any] struct {
 }
 
 // Orchestrator executes cells of one experiment grid. The zero value
-// plus a Run function is usable: serial-width pool sized by GOMAXPROCS,
-// no cache, no retries, no telemetry. All fields are read-only during
+// plus a RunCtx function is usable: serial-width pool sized by
+// GOMAXPROCS, no cache, no retries, no telemetry. All fields are read-only during
 // execution, so a single Orchestrator may serve concurrent
 // ExecuteContext calls.
 type Orchestrator[C, R any] struct {
-	// Run executes one cell. Required unless RunCtx is set.
-	Run RunFunc[C, R]
-	// RunCtx, when non-nil, is preferred over Run and receives the
-	// execution context so in-flight cells stop promptly on
-	// cancellation.
+	// RunCtx executes one cell (required). It receives the execution
+	// context so in-flight cells stop promptly on cancellation.
 	RunCtx CtxRunFunc[C, R]
 
 	// Parallel bounds the worker pool; ≤0 means runtime.GOMAXPROCS(0).
@@ -103,7 +97,7 @@ type Orchestrator[C, R any] struct {
 
 	// Retries is the number of extra attempts after a failed execution
 	// (transient-failure insurance; deterministic failures simply fail
-	// Retries+1 times). Panics inside Run are converted to errors and
+	// Retries+1 times). Panics inside RunCtx are converted to errors and
 	// retried like any other failure.
 	Retries int
 	// Backoff is the sleep before the first retry, doubling per retry
@@ -143,15 +137,11 @@ func (o *Orchestrator[C, R]) Execute(cells []Cell[C]) ([]Outcome[R], error) {
 }
 
 // ExecuteContext is Execute under a context: once ctx is done, no new
-// cell starts, retry backoffs abort, and — when RunCtx is set —
-// in-flight cells are told to stop. Abandoned cells come back with
-// ctx's error in their Outcome. extraHooks receive this run's
-// telemetry in addition to o.Hooks (per-job streaming, say) without
-// mutating the shared orchestrator.
+// cell starts, retry backoffs abort, and in-flight cells are told to
+// stop. Abandoned cells come back with ctx's error in their Outcome.
+// extraHooks receive this run's telemetry in addition to o.Hooks
+// (per-job streaming, say) without mutating the shared orchestrator.
 func (o *Orchestrator[C, R]) ExecuteContext(ctx context.Context, cells []Cell[C], extraHooks ...Hook) ([]Outcome[R], error) {
-	if o.Run == nil && o.RunCtx == nil {
-		return nil, errors.New("exp: Orchestrator.Run and RunCtx are both nil")
-	}
 	par := o.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -357,17 +347,13 @@ func (rs *runState) emit(ev Event) {
 	}
 }
 
-// runRecovered executes one attempt through RunCtx (preferred) or Run,
-// converting a panic into an error so one bad cell cannot take down the
-// whole sweep.
+// runRecovered executes one attempt through RunCtx, converting a panic
+// into an error so one bad cell cannot take down the whole sweep.
 func (o *Orchestrator[C, R]) runRecovered(ctx context.Context, cfg C) (v R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("exp: cell panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	if o.RunCtx != nil {
-		return o.RunCtx(ctx, cfg)
-	}
-	return o.Run(cfg)
+	return o.RunCtx(ctx, cfg)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -29,6 +30,11 @@ func fakeRun(c fakeCfg) (fakeRes, error) {
 	return fakeRes{Score: float64(c.Seed) * float64(c.Nodes), Tag: fmt.Sprintf("s%d/n%d", c.Seed, c.Nodes)}, nil
 }
 
+// withCtx adapts a context-free test runner to RunCtx.
+func withCtx[C, R any](run func(C) (R, error)) CtxRunFunc[C, R] {
+	return func(_ context.Context, c C) (R, error) { return run(c) }
+}
+
 func grid(n int) []Cell[fakeCfg] {
 	cells := make([]Cell[fakeCfg], n)
 	for i := range cells {
@@ -47,7 +53,7 @@ func TestExecuteStableOrder(t *testing.T) {
 		time.Sleep(time.Duration(20-c.Seed) * time.Millisecond)
 		return fakeRun(c)
 	}
-	o := &Orchestrator[fakeCfg, fakeRes]{Run: run, Parallel: 8}
+	o := &Orchestrator[fakeCfg, fakeRes]{RunCtx: withCtx(run), Parallel: 8}
 	out, err := o.Execute(cells)
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +68,12 @@ func TestExecuteStableOrder(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	cells := grid(12)
-	serialO := &Orchestrator[fakeCfg, fakeRes]{Run: fakeRun, Parallel: 1}
+	serialO := &Orchestrator[fakeCfg, fakeRes]{RunCtx: withCtx(fakeRun), Parallel: 1}
 	serial, err := serialO.Execute(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parO := &Orchestrator[fakeCfg, fakeRes]{Run: fakeRun, Parallel: 4}
+	parO := &Orchestrator[fakeCfg, fakeRes]{RunCtx: withCtx(fakeRun), Parallel: 4}
 	par, err := parO.Execute(cells)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +98,7 @@ func TestOneBadCellFailsOnlyItself(t *testing.T) {
 		}
 		return fakeRun(c)
 	}
-	o := &Orchestrator[fakeCfg, fakeRes]{Run: run, Parallel: 3}
+	o := &Orchestrator[fakeCfg, fakeRes]{RunCtx: withCtx(run), Parallel: 3}
 	out, err := o.Execute(cells)
 	if err == nil {
 		t.Fatal("want joined error for the failed cells")
@@ -131,7 +137,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 		return fakeRun(c)
 	}
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run: run, Parallel: 1, Retries: 3,
+		RunCtx: withCtx(run), Parallel: 1, Retries: 3,
 		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	}
 	out, err := o.Execute(grid(1))
@@ -158,7 +164,7 @@ func TestCacheServesSecondRun(t *testing.T) {
 	}
 	cells := grid(9)
 	mk := func() *Orchestrator[fakeCfg, fakeRes] {
-		return &Orchestrator[fakeCfg, fakeRes]{Run: run, Parallel: 3, Cache: cache}
+		return &Orchestrator[fakeCfg, fakeRes]{RunCtx: withCtx(run), Parallel: 3, Cache: cache}
 	}
 
 	first, err := mk().Execute(cells)
@@ -200,7 +206,7 @@ func TestCacheableExemption(t *testing.T) {
 		return fakeRun(c)
 	}
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run: run, Parallel: 1, Cache: cache,
+		RunCtx: withCtx(run), Parallel: 1, Cache: cache,
 		Cacheable: func(c fakeCfg) bool { return c.Seed%2 == 0 },
 	}
 	cells := grid(4) // seeds 1..4: two cacheable, two exempt
@@ -263,7 +269,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 	var calls atomic.Int64
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run: func(c fakeCfg) (fakeRes, error) {
+		RunCtx: func(_ context.Context, c fakeCfg) (fakeRes, error) {
 			calls.Add(1)
 			return fakeRun(c)
 		},
@@ -297,7 +303,7 @@ func TestTelemetryEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run: fakeRun, Parallel: 2, Cache: cache,
+		RunCtx: withCtx(fakeRun), Parallel: 2, Cache: cache,
 		SimDuration: func(fakeCfg) time.Duration { return 30 * time.Second },
 		Hooks:       []Hook{hook},
 	}
@@ -338,7 +344,7 @@ func (f hookFunc) Emit(ev Event) { f(ev) }
 func TestProgressAndJSONLWriters(t *testing.T) {
 	var pb, jb bytes.Buffer
 	o := &Orchestrator[fakeCfg, fakeRes]{
-		Run: fakeRun, Parallel: 1,
+		RunCtx: withCtx(fakeRun), Parallel: 1,
 		Hooks: []Hook{NewProgress(&pb), NewJSONL(&jb)},
 	}
 	if _, err := o.Execute(grid(2)); err != nil {

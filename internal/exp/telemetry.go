@@ -145,13 +145,3 @@ func HookForMode(mode string) (Hook, error) {
 		return nil, fmt.Errorf("exp: unknown progress mode %q (want off | stderr | jsonl)", mode)
 	}
 }
-
-// Multi bundles several hooks into one.
-type Multi []Hook
-
-// Emit implements Hook.
-func (m Multi) Emit(ev Event) {
-	for _, h := range m {
-		h.Emit(ev)
-	}
-}

@@ -42,7 +42,7 @@ type Result struct {
 	Tracking         adversary.TrackScore `json:"tracking"`
 }
 
-// Run executes one workload cell; it is the exp.RunFunc for LBS sweeps.
+// Run executes one workload cell.
 func Run(cfg Config) (Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -55,7 +55,8 @@ type ownedSighting struct {
 	err   float64
 }
 
-// RunContext is Run under a context, checked once per report epoch.
+// RunContext is Run under a context, checked once per report epoch; it
+// is the cell runner of LBS sweeps.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -193,7 +193,6 @@ type Options struct {
 // cell is cacheable: Run is a pure function of its config.
 func NewOrchestrator(opt Options) (*exp.Orchestrator[Config, Result], error) {
 	o := &exp.Orchestrator[Config, Result]{
-		Run:         Run,
 		RunCtx:      RunContext,
 		Parallel:    opt.Parallel,
 		Retries:     opt.Retries,

@@ -129,25 +129,22 @@ func (a *ANT) Entries(now sim.Time) []ANTEntry {
 // the ANT analog of GPSR's MAC-feedback neighbor eviction. ok is false
 // when no live entry improves on from (greedy local maximum).
 //
-// A nil tr is neutral trust, and policy picks among the candidates. A
-// trust table skips quarantined pseudonyms and scales each candidate's
-// staleness-discounted progress by its trust score, so relays that
-// failed to produce forwarding evidence lose selection to honest ones;
-// the ranking is then PolicyWeighted's, whatever policy says, since
-// trust is a weight on progress. Candidates below the shun threshold
-// are used only when nothing clears the bar. Because pseudonyms rotate
-// every hello, a score or quarantine lives at most one neighbor TTL —
-// the anonymity/attribution tension the paper's threat model accepts;
-// within that window the ARQ interacts with a relay several times,
-// which is enough to isolate it.
+// policy ranks the candidates; a nil tr is neutral trust. Under every
+// policy a trust table skips quarantined pseudonyms and uses candidates
+// below the shun threshold only when nothing clears the bar. The trust
+// score also weights each candidate's staleness-discounted progress, so
+// under PolicyWeighted relays that failed to produce forwarding
+// evidence lose selection to honest ones; PolicyClosest and
+// PolicyFreshest rank by distance and age alone. Because pseudonyms
+// rotate every hello, a score or quarantine lives at most one neighbor
+// TTL — the anonymity/attribution tension the paper's threat model
+// accepts; within that window the ARQ interacts with a relay several
+// times, which is enough to isolate it.
 //
 // Selection is fully deterministic: every policy falls through a total
 // tie-break order ending at the pseudonym bytes, so simulation runs do
 // not depend on map iteration order.
 func (a *ANT) ChooseNextHop(dest, from geo.Point, now sim.Time, policy Policy, exclude map[anoncrypto.Pseudonym]bool, tr *Trust) (ANTEntry, bool) {
-	if tr != nil {
-		policy = PolicyWeighted
-	}
 	myD := from.Dist(dest)
 	type cand struct {
 		e     ANTEntry

@@ -177,6 +177,26 @@ func TestANTTrustedIsolatesGreyhole(t *testing.T) {
 	}
 }
 
+// TestANTTrustHonorsPolicy pins that a trust table leaves the ranking
+// to the policy: with neutral trust, PolicyClosest picks the closest
+// candidate where PolicyWeighted's staleness discount picks another.
+func TestANTTrustHonorsPolicy(t *testing.T) {
+	a := NewANT(ttl*10, 20)
+	stale, fresh := newPseudo(1), newPseudo(2)
+	// Stale: 240 m progress, 10 s old → 200 m discount → 40. Fresh:
+	// 150 m progress, 0 s old → 150.
+	a.Update(stale, geo.Pt(240, 0), 0)
+	a.Update(fresh, geo.Pt(150, 0), 10*sim.Second)
+	dest, from, now := geo.Pt(1000, 0), geo.Pt(0, 0), 10*sim.Second
+	tr := NewTrust(testTrustConfig())
+	if e, ok := a.ChooseNextHop(dest, from, now, PolicyWeighted, nil, tr); !ok || e.N != fresh {
+		t.Fatalf("PolicyWeighted with trust picked %+v, %v; want the fresh entry (150 > 40)", e, ok)
+	}
+	if e, ok := a.ChooseNextHop(dest, from, now, PolicyClosest, nil, tr); !ok || e.N != stale {
+		t.Fatalf("PolicyClosest with trust picked %+v, %v; want the closest entry", e, ok)
+	}
+}
+
 // TestTrustedSelectionNeutralParity is the property test behind "nil
 // trust means neutral": with no recorded evidence (every key at the
 // uniform InitScore), selection through a trust table must agree with

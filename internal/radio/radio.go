@@ -125,8 +125,8 @@ type LossModel interface {
 	Lost(rx *Iface) LossOutcome
 }
 
-// bernoulliLoss is the independent per-delivery loss model behind
-// SetLossRate: each delivery fails with probability p.
+// bernoulliLoss is the independent per-delivery loss model: each
+// delivery fails with probability p.
 type bernoulliLoss struct {
 	p   float64
 	rng *rand.Rand
@@ -139,8 +139,8 @@ func (b *bernoulliLoss) Lost(*Iface) LossOutcome {
 	return LossNone
 }
 
-// NewBernoulliLoss builds the independent per-delivery loss model used
-// by SetLossRate, for callers (the fault runtime) that compose it with
+// NewBernoulliLoss builds the independent per-delivery loss model, for
+// SetLossModel or for callers (the fault runtime) that compose it with
 // other models. rng must be a dedicated deterministic stream.
 func NewBernoulliLoss(p float64, rng *rand.Rand) LossModel {
 	return &bernoulliLoss{p: p, rng: rng}
@@ -307,23 +307,6 @@ func (c *Channel) ensureIndex() *spatialIndex {
 		c.index.insert(i, now)
 	}
 	return c.index
-}
-
-// SetLossRate makes each otherwise-clean frame delivery fail
-// independently with probability p — a crude fading/bit-error model for
-// robustness experiments. Randomness comes from the engine's
-// deterministic stream, so runs stay reproducible. It is a convenience
-// wrapper over SetLossModel; richer models (bursty Gilbert–Elliott
-// fading, regional jamming) come from internal/fault.
-func (c *Channel) SetLossRate(p float64) {
-	if p < 0 || p >= 1 {
-		panic("radio: loss rate must be in [0, 1)")
-	}
-	if p == 0 {
-		c.loss = nil
-		return
-	}
-	c.loss = &bernoulliLoss{p: p, rng: c.eng.NewStream()}
 }
 
 // SetLossModel installs a pluggable per-delivery loss model (nil

@@ -335,21 +335,10 @@ func TestThreeWayCollision(t *testing.T) {
 	}
 }
 
-func TestLossRateValidation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	c := NewChannel(eng, 250)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("loss rate 1.0 accepted")
-		}
-	}()
-	c.SetLossRate(1.0)
-}
-
 func TestLossRateDropsFraction(t *testing.T) {
 	eng := sim.NewEngine(5)
 	c := NewChannel(eng, 250)
-	c.SetLossRate(0.3)
+	c.SetLossModel(NewBernoulliLoss(0.3, eng.NewStream()))
 	a, _ := addStatic(c, 0, 0)
 	_, rb := addStatic(c, 100, 0)
 	const frames = 500

@@ -69,19 +69,12 @@ type Options struct {
 	// to the manager's own metrics hook. Hooks must be safe for
 	// concurrent runs when JobWorkers > 1.
 	Hooks []exp.Hook
-	// Executor, when non-nil, replaces local orchestrator execution: an
-	// admitted job's cells are handed to it instead of running on this
-	// process's worker pool. This is the coordinator seam — internal/dist
-	// plugs in here to shard cells across a worker fleet while the whole
-	// HTTP surface (admission, dedupe, events, job WAL) stays unchanged.
-	// The seam is sweep-typed: LBS jobs (POST /v1/lbs) always execute on
-	// the local lbs orchestrator, Executor or not.
-	// The hook carries the job's event stream plus the manager's metrics;
-	// implementations must emit per-cell telemetry through it and return
-	// one Outcome per cell in input order, mirroring
-	// exp.Orchestrator.ExecuteContext semantics (including context-error
-	// outcomes for cells abandoned to cancellation).
-	Executor Executor
+	// RunCell, when non-nil, replaces core.RunContext as the sweep
+	// orchestrator's cell runner. This is the coordinator seam:
+	// internal/dist plugs in here to run each cell on a worker fleet,
+	// while the cache, retries, events and metrics stay the
+	// orchestrator's. LBS jobs (POST /v1/lbs) always run locally.
+	RunCell func(context.Context, core.Config) (core.Result, error)
 	// ExtraMetrics, when non-nil, is appended to every /metrics response
 	// after the manager's own series — the seam for subsystem metrics
 	// (the dist coordinator's fleet gauges) without a registry.
@@ -90,11 +83,6 @@ type Options struct {
 	// (log.Printf-shaped). Default: silent.
 	Logf func(format string, args ...any)
 }
-
-// Executor runs one job's cells somewhere other than the local
-// orchestrator (see Options.Executor). req is the job's normalized
-// request, cells its expansion in fold order.
-type Executor func(ctx context.Context, req SweepRequest, cells []exp.Cell[core.Config], hook exp.Hook) ([]exp.Outcome[core.Result], error)
 
 // Manager owns the job table, the bounded admission queue, and the
 // scheduler workers that drain it onto one shared exp.Orchestrator.
@@ -159,6 +147,9 @@ func NewManager(opts Options) (*Manager, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if opts.RunCell != nil {
+		orch.RunCtx = opts.RunCell
 	}
 	lbsOrch, err := lbs.NewOrchestrator(lbs.Options{
 		Parallel: opts.Parallel,
@@ -435,9 +426,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob executes one job on the shared orchestrator under its own
-// cancellable, deadline-bounded context, then folds the outcome grid
-// into DensityPoints.
+// runJob executes one job on its kind's shared orchestrator under its
+// own cancellable, deadline-bounded context, then folds the outcome
+// grid into density points or LBS curves.
 func (m *Manager) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.opts.JobTimeout)
 	defer cancel()
@@ -464,31 +455,22 @@ func (m *Manager) runJob(j *Job) {
 
 	start := time.Now()
 	if j.LBSReq != nil {
-		m.runLBSCells(ctx, j, start)
+		req := *j.LBSReq
+		runCells(ctx, m, j, start, m.lbsOrch, req.Cells(), func(outs []exp.Outcome[lbs.Result]) walRecord {
+			curves := lbs.Fold(req, outs)
+			j.mu.Lock()
+			j.curves = curves
+			j.mu.Unlock()
+			return walRecord{Curves: curves}
+		})
 		return
 	}
-
 	protos := make([]core.Protocol, len(j.Req.Protocols))
 	for i, name := range j.Req.Protocols {
 		protos[i], _ = ParseProtocol(name) // validated at admission
 	}
 	cells := core.SweepCells(j.Req.Base, j.Req.NodeCounts, protos, j.Req.Repeats)
-	var (
-		outs []exp.Outcome[core.Result]
-		err  error
-	)
-	if m.opts.Executor != nil {
-		// Distributed execution: the executor owns telemetry emission, so
-		// it gets the metrics hook (the orchestrator would normally carry
-		// it) alongside the job's event stream.
-		outs, err = m.opts.Executor(ctx, j.Req, cells, exp.Multi{m.met, j})
-	} else {
-		outs, err = m.orch.ExecuteContext(ctx, cells, j)
-	}
-	counts := settleCells(j, outs)
-	m.finishJob(ctx, j, start, err, counts, func() walRecord {
-		// A run that finished cleanly is done even if the context died
-		// a moment later — completed results are never discarded.
+	runCells(ctx, m, j, start, m.orch, cells, func(outs []exp.Outcome[core.Result]) walRecord {
 		points := core.FoldSweep(j.Req.NodeCounts, protos, j.Req.Repeats, outs)
 		j.mu.Lock()
 		j.points = points
@@ -497,38 +479,28 @@ func (m *Manager) runJob(j *Job) {
 	})
 }
 
-// runLBSCells is runJob's LBS half: the grid always executes on the
-// local lbs orchestrator (the Executor seam is sweep-typed) and folds
-// into curve points instead of density points.
-func (m *Manager) runLBSCells(ctx context.Context, j *Job, start time.Time) {
-	outs, err := m.lbsOrch.ExecuteContext(ctx, j.LBSReq.Cells(), j)
-	counts := settleCells(j, outs)
-	m.finishJob(ctx, j, start, err, counts, func() walRecord {
-		curves := lbs.Fold(*j.LBSReq, outs)
-		j.mu.Lock()
-		j.curves = curves
-		j.mu.Unlock()
-		return walRecord{Curves: curves}
-	})
-}
-
-// settleCells tallies an outcome grid into the job's cell counts and
-// releases the job's cancel hook now that execution is over.
-func settleCells[R any](j *Job, outs []exp.Outcome[R]) CellCounts {
+// runCells is runJob's shared tail for every job kind: execute the
+// grid on o, tally the outcomes into the job's cell counts, and land
+// the job in its terminal state. fold runs only on clean completion (a
+// run that finished cleanly is done even if the context died a moment
+// later); it stores the folded result on the job and returns the done
+// record's result payload.
+func runCells[C, R any](ctx context.Context, m *Manager, j *Job, start time.Time, o *exp.Orchestrator[C, R], cells []exp.Cell[C], fold func([]exp.Outcome[R]) walRecord) {
+	outs, err := o.ExecuteContext(ctx, cells, j)
 	counts := CellCounts{Total: len(outs)}
-	for _, o := range outs {
-		if o.Cached {
+	for _, oc := range outs {
+		if oc.Cached {
 			counts.Cached++
 		}
-		if o.Err != nil {
+		if oc.Err != nil {
 			counts.Failed++
 		}
 	}
 	j.mu.Lock()
 	j.cells = counts
-	j.cancel = nil
+	j.cancel = nil // execution is over
 	j.mu.Unlock()
-	return counts
+	m.finishJob(ctx, j, start, err, counts, func() walRecord { return fold(outs) })
 }
 
 // finishJob lands a finished run in its terminal state, with the WAL

@@ -52,7 +52,6 @@ func newTestServer(t *testing.T, opts Options, stub func(context.Context, core.C
 	}
 	if stub != nil {
 		srv.man.orch.RunCtx = stub
-		srv.man.orch.Run = nil
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -255,7 +255,6 @@ func TestSubmitCancelRace(t *testing.T) {
 	man.orch.RunCtx = func(ctx context.Context, cfg core.Config) (core.Result, error) {
 		return core.Result{}, nil
 	}
-	man.orch.Run = nil
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
