@@ -19,47 +19,19 @@ func (c Config) compiledFaultPlan() *fault.Plan {
 	return fault.Merge(fault.FromLegacy(c.LossRate, c.ChurnFailures, c.ChurnDownFor), c.Faults)
 }
 
-// nodeActuator adapts one core.Node to the fault.Actuator surface,
-// routing each control to whichever stack the node runs.
-type nodeActuator struct{ n *Node }
+// nodeActuator adapts one core.Node to the fault.Actuator surface. The
+// router controls (relay drop, mute, forged beacons, junk hellos) are
+// the node's own stack's, whichever protocol it runs.
+type nodeActuator struct {
+	router
+	n *Node
+}
 
 func (a nodeActuator) SetDown(down bool) { a.n.MAC.SetDown(down) }
 
-func (a nodeActuator) SetRelayDrop(p float64) {
-	switch {
-	case a.n.AGFW != nil:
-		a.n.AGFW.SetRelayDrop(p)
-	case a.n.GPSR != nil:
-		a.n.GPSR.SetRelayDrop(p)
-	}
-}
-
-func (a nodeActuator) SetMute(muted bool) {
-	switch {
-	case a.n.AGFW != nil:
-		a.n.AGFW.SetMute(muted)
-	case a.n.GPSR != nil:
-		a.n.GPSR.SetMute(muted)
-	}
-}
-
 func (a nodeActuator) SetBeaconNoise(f func(geo.Point) geo.Point) {
 	a.n.posNoise = f
-	switch {
-	case a.n.AGFW != nil:
-		a.n.AGFW.SetBeaconNoise(f)
-	case a.n.GPSR != nil:
-		a.n.GPSR.SetBeaconNoise(f)
-	}
-}
-
-func (a nodeActuator) SetForgedBeacon(f func(geo.Point) geo.Point) {
-	switch {
-	case a.n.AGFW != nil:
-		a.n.AGFW.SetForgedBeacon(f)
-	case a.n.GPSR != nil:
-		a.n.GPSR.SetForgedBeacon(f)
-	}
+	a.router.SetBeaconNoise(f)
 }
 
 func (a nodeActuator) SetAckSpoof(pred func() bool) {
@@ -67,15 +39,6 @@ func (a nodeActuator) SetAckSpoof(pred func() bool) {
 	// a no-op there by design.
 	if a.n.AGFW != nil {
 		a.n.AGFW.SetAckSpoof(pred)
-	}
-}
-
-func (a nodeActuator) SendJunkHello(nonce uint64, loc geo.Point, bytes int) {
-	switch {
-	case a.n.AGFW != nil:
-		a.n.AGFW.SendJunkHello(nonce, loc, bytes)
-	case a.n.GPSR != nil:
-		a.n.GPSR.SendJunkHello(nonce, loc, bytes)
 	}
 }
 
@@ -88,7 +51,7 @@ func (n *Network) installFaults() error {
 	}
 	acts := make([]fault.Actuator, len(n.Nodes))
 	for i, node := range n.Nodes {
-		acts[i] = nodeActuator{node}
+		acts[i] = nodeActuator{node.router, node}
 	}
 	return fault.Install(plan, fault.Env{
 		Eng:      n.Eng,

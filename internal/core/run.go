@@ -32,11 +32,27 @@ type Node struct {
 	AGFW  *agfw.Router // nil unless the scenario runs AGFW
 	Keys  *anoncrypto.KeyPair
 
+	// router is whichever of GPSR and AGFW the node runs.
+	router  router
 	overlay *lsOverlay
 	// posNoise, when set by a fault-plan position-error entry, distorts
 	// the positions this node advertises (location-service updates; the
 	// routers hold the same closure for beacons).
 	posNoise func(geo.Point) geo.Point
+}
+
+// router is the surface both routing stacks share: origination, the
+// geocast primitive the location overlay rides on, and the fault-plan
+// controls. A node holds its stack behind it, so no caller switches on
+// protocol.
+type router interface {
+	geoSender
+	Originate(dst anoncrypto.Identity, dstLoc geo.Point, payloadBytes int, pktID uint64, record bool)
+	SetRelayDrop(p float64)
+	SetMute(muted bool)
+	SetBeaconNoise(f func(geo.Point) geo.Point)
+	SetForgedBeacon(f func(geo.Point) geo.Point)
+	SendJunkHello(nonce uint64, loc geo.Point, bytes int)
 }
 
 // Pos reports the node's true current position.
@@ -216,6 +232,7 @@ func Build(cfg Config) (*Network, error) {
 			node.MAC = d
 			node.GPSR = gpsr.New(eng, d, id, d.Iface().Pos, gcfg, col, nil, eng.NewStream())
 			node.GPSR.Start()
+			node.router = node.GPSR
 
 		case ProtoAGFW, ProtoAGFWNoAck:
 			addr := mac.Broadcast
@@ -260,16 +277,11 @@ func Build(cfg Config) (*Network, error) {
 			node.MAC = d
 			node.AGFW = agfw.New(eng, d, id, d.Iface().Pos, scheme, acfg, col, nil, eng.NewStream())
 			node.AGFW.Start()
+			node.router = node.AGFW
 		}
 
 		if cfg.LocationService != LSOracle {
-			var port geoSender
-			if node.AGFW != nil {
-				port = node.AGFW
-			} else {
-				port = node.GPSR
-			}
-			node.overlay = newLSOverlay(n, node, port)
+			node.overlay = newLSOverlay(n, node, node.router)
 			node.overlay.start()
 		}
 
@@ -328,12 +340,7 @@ func (n *Network) sendOnFlow(f traffic.Flow, pktID uint64, payloadBytes int) {
 	src := n.Nodes[f.Src]
 	dstID := NodeID(f.Dst)
 	originate := func(dstLoc geo.Point, record bool) {
-		switch {
-		case src.GPSR != nil:
-			src.GPSR.Originate(dstID, dstLoc, payloadBytes, pktID, record)
-		case src.AGFW != nil:
-			src.AGFW.Originate(dstID, dstLoc, payloadBytes, pktID, record)
-		}
+		src.router.Originate(dstID, dstLoc, payloadBytes, pktID, record)
 	}
 	if src.overlay == nil {
 		dstLoc, _ := n.Lookup(dstID)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -56,20 +57,119 @@ type CellCounts struct {
 	Failed int `json:"failed"`
 }
 
-// Job is one admitted sweep: the normalized request, its lifecycle
-// state, the event log feeding /events streams, and — once done — the
-// folded grid points.
+// jobSpec is what a job runs, exactly as its admit record journals it:
+// a routing sweep (POST /v1/sweeps) in Req or an LBS grid (POST /v1/lbs)
+// in LBSReq, never both. Its methods are the one place serve tells the
+// two kinds apart.
+type jobSpec struct {
+	Req    *SweepRequest     `json:"req,omitempty"`
+	LBSReq *lbs.SweepRequest `json:"lbs_req,omitempty"`
+}
+
+// jobResult is a done job's folded grid, exactly as its done record
+// journals it: density points for a sweep, curve points for an LBS grid.
+type jobResult struct {
+	Points []core.DensityPoint `json:"points,omitempty"`
+	Curves []lbs.CurvePoint    `json:"curves,omitempty"`
+}
+
+// normalize canonicalizes and validates the request, and bounds its
+// grid by maxCells for admission control.
+func (s jobSpec) normalize(maxCells int) (jobSpec, error) {
+	if s.LBSReq != nil {
+		norm, err := s.LBSReq.Normalize()
+		if err != nil {
+			return s, err
+		}
+		if n := norm.NumCells(); n > maxCells {
+			return s, fmt.Errorf("serve: request expands to %d cells, limit %d", n, maxCells)
+		}
+		return jobSpec{LBSReq: &norm}, nil
+	}
+	norm, _, err := s.Req.normalize(maxCells)
+	return jobSpec{Req: &norm}, err
+}
+
+// id is the job's content address: exp.KeyOf over the normalized
+// request, under a "lbs" kind tag for LBS grids so the two kinds can
+// never collide. Identical submissions share one ID, and so one job.
+func (s jobSpec) id() (string, error) {
+	if s.LBSReq != nil {
+		return exp.KeyOf(struct {
+			Kind string           `json:"kind"`
+			Req  lbs.SweepRequest `json:"req"`
+		}{JobKindLBS, *s.LBSReq})
+	}
+	return exp.KeyOf(*s.Req)
+}
+
+// cells is the grid size of the normalized request.
+func (s jobSpec) cells() int {
+	if s.LBSReq != nil {
+		return s.LBSReq.NumCells()
+	}
+	return s.Req.Cells()
+}
+
+// describe fills the status fields that name the request: Request is
+// always present (the zero SweepRequest on LBS jobs, for clients that
+// predate them), Kind and LBSRequest only on LBS jobs.
+func (s jobSpec) describe(st *JobStatus) {
+	if s.LBSReq != nil {
+		st.Kind, st.LBSRequest = JobKindLBS, s.LBSReq
+		return
+	}
+	st.Request = *s.Req
+}
+
+// run executes the grid on m's orchestrator for the spec's kind,
+// streaming per-cell telemetry to hook, and returns the cell counts and
+// the run error. The result is folded only on clean completion.
+func (s jobSpec) run(ctx context.Context, m *Manager, hook exp.Hook) (jobResult, CellCounts, error) {
+	if r := s.LBSReq; r != nil {
+		outs, counts, err := execute(ctx, m.lbsOrch, r.Cells(), hook)
+		if err != nil {
+			return jobResult{}, counts, err
+		}
+		return jobResult{Curves: lbs.Fold(*r, outs)}, counts, nil
+	}
+	r := s.Req
+	protos := make([]core.Protocol, len(r.Protocols))
+	for i, name := range r.Protocols {
+		protos[i], _ = ParseProtocol(name) // validated at admission
+	}
+	outs, counts, err := execute(ctx, m.orch, core.SweepCells(r.Base, r.NodeCounts, protos, r.Repeats), hook)
+	if err != nil {
+		return jobResult{}, counts, err
+	}
+	return jobResult{Points: core.FoldSweep(r.NodeCounts, protos, r.Repeats, outs)}, counts, nil
+}
+
+// execute runs cells on o and tallies the outcomes.
+func execute[C, R any](ctx context.Context, o *exp.Orchestrator[C, R], cells []exp.Cell[C], hook exp.Hook) ([]exp.Outcome[R], CellCounts, error) {
+	outs, err := o.ExecuteContext(ctx, cells, hook)
+	counts := CellCounts{Total: len(outs)}
+	for _, oc := range outs {
+		if oc.Cached {
+			counts.Cached++
+		}
+		if oc.Err != nil {
+			counts.Failed++
+		}
+	}
+	return outs, counts, err
+}
+
+// Job is one admitted job: what it runs, its lifecycle state, the event
+// log feeding /events streams, and — once done — the folded result. A
+// job's state is exactly what its journal records carry, so a restart
+// rebuilds it by replaying them (see foldWAL).
 type Job struct {
 	// ID is the deterministic content address of the normalized
-	// request (exp.KeyOf over request JSON + cache schema version), so
-	// identical submissions collide onto one job.
-	ID string
-	// Req is the normalized request the job runs.
-	Req SweepRequest
-	// LBSReq, when non-nil, marks this as an LBS job (POST /v1/lbs):
-	// Req is ignored and the job executes an lbs privacy-vs-utility
-	// grid instead of a routing sweep.
-	LBSReq *lbs.SweepRequest
+	// request (see jobSpec.id), so identical submissions collide onto
+	// one job.
+	ID   string
+	spec jobSpec
 
 	mu       sync.Mutex
 	state    JobState
@@ -77,8 +177,7 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	points   []core.DensityPoint
-	curves   []lbs.CurvePoint
+	result   jobResult
 	cells    CellCounts
 
 	// events is the append-only job log; wake is closed and replaced on
@@ -93,51 +192,29 @@ type Job struct {
 	canceled bool
 }
 
-func newJob(id string, req SweepRequest, now time.Time) *Job {
-	j := &Job{ID: id, Req: req, state: JobQueued, created: now, wake: make(chan struct{})}
-	j.append(JobEvent{State: JobQueued, Event: exp.Event{Type: eventJobQueued, Total: req.Cells()}})
+func newJob(id string, spec jobSpec, now time.Time) *Job {
+	j := &Job{ID: id, spec: spec, state: JobQueued, created: now, wake: make(chan struct{})}
+	j.append(JobEvent{State: JobQueued, Event: exp.Event{Type: eventJobQueued, Total: spec.cells()}})
 	return j
 }
 
-func newLBSJob(id string, req lbs.SweepRequest, now time.Time) *Job {
-	j := &Job{ID: id, LBSReq: &req, state: JobQueued, created: now, wake: make(chan struct{})}
-	j.append(JobEvent{State: JobQueued, Event: exp.Event{Type: eventJobQueued, Total: req.NumCells()}})
-	return j
-}
-
-// totalCells is the job's grid size regardless of kind.
-func (j *Job) totalCells() int {
-	if j.LBSReq != nil {
-		return j.LBSReq.NumCells()
+// record is the journal record of the job's terminal state. The done
+// record carries the folded result and cell counts, so a restarted
+// daemon serves the job without touching the orchestrator.
+func (j *Job) record() walRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec := walRecord{ID: j.ID, Time: j.finished, Err: j.err}
+	switch j.state {
+	case JobDone:
+		cells := j.cells
+		rec.Op, rec.jobResult, rec.Cells = walDone, j.result, &cells
+	case JobFailed:
+		rec.Op = walFail
+	case JobCanceled:
+		rec.Op = walCancel
 	}
-	return j.Req.Cells()
-}
-
-// restoreJob rebuilds a terminal job from its journal state after a
-// restart: status, error, timestamps, cell counts, and — for done jobs
-// — the folded points, plus a synthesized event log so /events replays
-// a coherent (if condensed) history. Restored jobs never run again;
-// only Submit can start a fresh attempt (failed/canceled IDs are
-// retryable, done IDs dedupe).
-func restoreJob(w *walJob) *Job {
-	j := &Job{
-		ID: w.id, Req: w.req, LBSReq: w.lbsReq,
-		state: w.state, err: w.err,
-		created: w.created, started: w.started, finished: w.finished,
-		points: w.points, curves: w.curves, cells: w.cells,
-		wake: make(chan struct{}),
-	}
-	evs := []JobEvent{{State: JobQueued, Event: exp.Event{Type: eventJobQueued, Total: j.totalCells()}}}
-	if !w.started.IsZero() {
-		evs = append(evs, JobEvent{State: JobRunning, Event: exp.Event{Type: eventJobStarted}})
-	}
-	evs = append(evs, JobEvent{State: w.state, Event: exp.Event{Type: eventJobFinished, Err: w.err}})
-	for i := range evs {
-		evs[i].Seq = i
-		evs[i].JobID = w.id
-	}
-	j.events = evs
-	return j
+	return rec
 }
 
 // append adds ev to the log (stamping seq and job ID) and wakes
@@ -173,12 +250,8 @@ func (j *Job) snapshot() JobStatus {
 		Error:   j.err,
 		Created: j.created,
 		Cells:   j.cells,
-		Request: j.Req,
 	}
-	if j.LBSReq != nil {
-		st.Kind = JobKindLBS
-		st.LBSRequest = j.LBSReq
-	}
+	j.spec.describe(&st)
 	if !j.started.IsZero() {
 		t := j.started
 		st.Started = &t
@@ -188,8 +261,8 @@ func (j *Job) snapshot() JobStatus {
 		st.Finished = &t
 	}
 	if j.state == JobDone {
-		st.Points = wirePoints(j.points)
-		st.Curves = j.curves
+		st.Points = wirePoints(j.result.Points)
+		st.Curves = j.result.Curves
 	}
 	return st
 }

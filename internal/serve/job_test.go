@@ -12,7 +12,7 @@ import (
 // change and the event append if the two are ever split.
 func TestTerminalJobHoldsFinishedEvent(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
-		j := newJob("job", SweepRequest{}, time.Now())
+		j := newJob("job", jobSpec{Req: &SweepRequest{}}, time.Now())
 		j.transition(JobRunning, "", time.Now())
 		done := make(chan struct{})
 		go func() {

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +167,53 @@ func TestLBSJournalRestore(t *testing.T) {
 	}
 	if got.LBSRequest == nil || !reflect.DeepEqual(*got.LBSRequest, *want.LBSRequest) {
 		t.Fatalf("restored request diverges: %+v", got.LBSRequest)
+	}
+}
+
+// TestLBSCacheQuarantineMetric: a corrupt LBS cache entry counts in
+// /metrics exactly like a corrupt sweep entry. Both job kinds read one
+// cache handle, so one quarantine count covers them.
+func TestLBSCacheQuarantineMetric(t *testing.T) {
+	cache := t.TempDir()
+	_, tsA := newTestServer(t, Options{CacheDir: cache}, nil)
+	_, out := postLBS(t, tsA, tinyLBSRequest())
+	waitState(t, tsA, out.ID, JobDone)
+
+	// Flip one byte of every stored entry: the checksum must catch each.
+	var entries []string
+	err := filepath.WalkDir(cache, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".json") {
+			entries = append(entries, p)
+		}
+		return err
+	})
+	if err != nil || len(entries) != out.LBSRequest.NumCells() {
+		t.Fatalf("cache holds %d entries (%v), want one per cell (%d)", len(entries), err, out.LBSRequest.NumCells())
+	}
+	for _, p := range entries {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[2] ^= 0x04
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A fresh daemon over the same cache reruns the job and meets them.
+	_, tsB := newTestServer(t, Options{CacheDir: cache}, nil)
+	_, out = postLBS(t, tsB, tinyLBSRequest())
+	if st := waitState(t, tsB, out.ID, JobDone); st.Cells.Cached != 0 {
+		t.Fatalf("corrupt entries served as %d cache hits", st.Cells.Cached)
+	}
+	resp, err := http.Get(tsB.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("\nagrsimd_cache_quarantined_total %d\n", len(entries)); !strings.Contains(string(body), want) {
+		t.Fatalf("metrics missing %q:\n%s", strings.TrimSpace(want), body)
 	}
 }

@@ -93,9 +93,10 @@ type Options struct {
 type Manager struct {
 	opts Options
 	orch *exp.Orchestrator[core.Config, core.Result]
-	// lbsOrch runs LBS jobs. It shares CacheDir with orch — the cache is
-	// content-addressed over (SchemaVersion, config), so the two cell
-	// types coexist in one directory without key collisions.
+	// lbsOrch runs LBS jobs. It shares orch's cache handle — the cache
+	// is content-addressed over (SchemaVersion, config), so the two cell
+	// types coexist in one directory without key collisions, and one
+	// quarantine count covers both.
 	lbsOrch *exp.Orchestrator[lbs.Config, lbs.Result]
 	met     *Metrics
 
@@ -153,19 +154,19 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	lbsOrch, err := lbs.NewOrchestrator(lbs.Options{
 		Parallel: opts.Parallel,
-		CacheDir: opts.CacheDir,
 		Retries:  opts.Retries,
 		Hooks:    append([]exp.Hook{met}, opts.Hooks...),
 	})
 	if err != nil {
 		return nil, err
 	}
+	lbsOrch.Cache = orch.Cache
 
 	// Recover the job WAL before anything is admitted: the queue must be
 	// sized to hold every interrupted job being re-admitted.
 	var (
 		journal     *durable.Journal
-		replayed    []*walJob
+		replayed    []*Job
 		replayRecs  int
 		replayStart = time.Now()
 	)
@@ -176,8 +177,8 @@ func NewManager(opts Options) (*Manager, error) {
 		}
 	}
 	interrupted := 0
-	for _, wj := range replayed {
-		if !wj.state.Terminal() {
+	for _, j := range replayed {
+		if !j.State().Terminal() {
 			interrupted++
 		}
 	}
@@ -200,26 +201,18 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 
 	// Rebuild the job table: terminal jobs are restored read-only (their
-	// points came back in the done record), interrupted jobs re-enter
+	// results came back in the done record), interrupted jobs re-enter
 	// the queue under their recorded content-address IDs — the workers
 	// have not started yet, so the buffered sends cannot block.
-	for _, wj := range replayed {
-		if wj.state.Terminal() {
-			m.jobs[wj.id] = restoreJob(wj)
-			m.order = append(m.order, wj.id)
+	for _, j := range replayed {
+		m.jobs[j.ID] = j
+		m.order = append(m.order, j.ID)
+		if j.State().Terminal() {
 			continue
 		}
-		var j *Job
-		if wj.lbsReq != nil {
-			j = newLBSJob(wj.id, *wj.lbsReq, wj.created)
-		} else {
-			j = newJob(wj.id, wj.req, wj.created)
-		}
-		m.jobs[wj.id] = j
-		m.order = append(m.order, wj.id)
 		m.queue <- j
 		m.met.jobsReadmitted.Add(1)
-		m.opts.Logf("serve: %v re-admitted from journal (%d cells)", j, j.totalCells())
+		m.opts.Logf("serve: %v re-admitted from journal (%d cells)", j, j.spec.cells())
 	}
 	if journal != nil {
 		wall := time.Since(replayStart)
@@ -252,8 +245,8 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// Cache exposes the shared result cache (nil when caching is off), for
-// the daemon's periodic GC.
+// Cache exposes the result cache every job kind shares (nil when
+// caching is off), for the daemon's periodic GC and quarantine metric.
 func (m *Manager) Cache() *exp.Cache { return m.orch.Cache }
 
 // Submit admits one sweep request. The job ID is the content address
@@ -262,45 +255,26 @@ func (m *Manager) Cache() *exp.Cache { return m.orch.Cache }
 // (created=false). A previously failed or canceled identical request
 // is re-admitted as a fresh attempt under the same ID.
 func (m *Manager) Submit(req SweepRequest) (job *Job, created bool, err error) {
-	norm, _, err := req.normalize(m.opts.MaxCells)
-	if err != nil {
-		return nil, false, err
-	}
-	id, err := exp.KeyOf(norm)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve: request not encodable: %w", err)
-	}
-	return m.admit(id, func(now time.Time) *Job { return newJob(id, norm, now) },
-		walRecord{Op: walAdmit, ID: id, Req: &norm})
+	return m.submit(jobSpec{Req: &req})
 }
 
 // SubmitLBS admits one LBS privacy-vs-utility grid (POST /v1/lbs) with
-// the same dedupe, queueing, and WAL semantics as Submit. The ID is the
-// content address of the normalized request under a "lbs" kind tag, so
-// an LBS grid can never collide with a routing sweep.
+// the same dedupe, queueing, and WAL semantics as Submit.
 func (m *Manager) SubmitLBS(req lbs.SweepRequest) (job *Job, created bool, err error) {
-	norm, err := req.Normalize()
+	return m.submit(jobSpec{LBSReq: &req})
+}
+
+// submit is the admission path of every job: normalize, dedupe against
+// the job table, journal, enqueue, register.
+func (m *Manager) submit(spec jobSpec) (job *Job, created bool, err error) {
+	spec, err = spec.normalize(m.opts.MaxCells)
 	if err != nil {
 		return nil, false, err
 	}
-	if n := norm.NumCells(); n > m.opts.MaxCells {
-		return nil, false, fmt.Errorf("serve: request expands to %d cells, limit %d", n, m.opts.MaxCells)
-	}
-	id, err := exp.KeyOf(struct {
-		Kind string           `json:"kind"`
-		Req  lbs.SweepRequest `json:"req"`
-	}{JobKindLBS, norm})
+	id, err := spec.id()
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: request not encodable: %w", err)
 	}
-	return m.admit(id, func(now time.Time) *Job { return newLBSJob(id, norm, now) },
-		walRecord{Op: walAdmit, ID: id, LBSReq: &norm})
-}
-
-// admit runs the shared admission path: dedupe against the job table,
-// enqueue, journal, register. rec is the admit WAL record minus its
-// timestamp.
-func (m *Manager) admit(id string, build func(now time.Time) *Job, rec walRecord) (job *Job, created bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if existing, ok := m.jobs[id]; ok && !isRetryable(existing.State()) {
@@ -310,28 +284,27 @@ func (m *Manager) admit(id string, build func(now time.Time) *Job, rec walRecord
 	if m.draining {
 		return nil, false, ErrDraining
 	}
-	now := time.Now()
-	j := build(now)
-	// Enqueue while holding m.mu: Drain closes the queue under the
-	// same lock, so a send can never race the close.
-	select {
-	case m.queue <- j:
-	default:
+	// Only submit sends on the queue, and only under m.mu (Drain closes
+	// it under the same lock), so a free slot seen here is still free
+	// at the send below.
+	if len(m.queue) == cap(m.queue) {
 		m.met.jobsRejected.Add(1)
 		return nil, false, ErrQueueFull
 	}
-	// The admit record is fsynced before Submit returns, so any job the
-	// client saw acknowledged survives a crash and is re-admitted on the
-	// next boot. (A rejected submission writes nothing — nothing to
-	// resurrect.)
-	rec.Time = now
-	m.appendWAL(rec)
+	now := time.Now()
+	j := newJob(id, spec, now)
+	// The admit record is fsynced before the job is queued, so it
+	// precedes the job's start record, and any job the client saw
+	// acknowledged survives a crash and is re-admitted on the next boot.
+	// (A rejected submission writes nothing — nothing to resurrect.)
+	m.appendWAL(walRecord{Op: walAdmit, ID: id, Time: now, jobSpec: spec})
+	m.queue <- j
 	if _, resubmitted := m.jobs[id]; !resubmitted {
 		m.order = append(m.order, id)
 	}
 	m.jobs[id] = j
 	m.met.jobsSubmitted.Add(1)
-	m.opts.Logf("serve: %v admitted (%d cells, queue %d/%d)", j, j.totalCells(), len(m.queue), cap(m.queue))
+	m.opts.Logf("serve: %v admitted (%d cells, queue %d/%d)", j, spec.cells(), len(m.queue), cap(m.queue))
 	return j, true, nil
 }
 
@@ -390,10 +363,7 @@ func (m *Manager) Cancel(id string) error {
 	j.mu.Unlock()
 
 	if state == JobQueued {
-		now := time.Now()
-		j.transition(JobCanceled, "canceled while queued", now)
-		m.met.jobsCanceled.Add(1)
-		m.appendWAL(walRecord{Op: walCancel, ID: id, Time: now, Err: "canceled while queued"})
+		m.settle(j, JobCanceled, "canceled while queued")
 		m.mu.Unlock()
 		m.opts.Logf("serve: %v canceled while queued", j)
 		return nil
@@ -415,11 +385,7 @@ func (m *Manager) worker() {
 		}
 		if m.baseCtx.Err() != nil {
 			// Drain deadline passed: everything still queued cancels.
-			now := time.Now()
-			if j.transition(JobCanceled, "server shutting down", now) {
-				m.met.jobsCanceled.Add(1)
-				m.appendWAL(walRecord{Op: walCancel, ID: j.ID, Time: now, Err: "server shutting down"})
-			}
+			m.settle(j, JobCanceled, "server shutting down")
 			continue
 		}
 		m.runJob(j)
@@ -427,8 +393,8 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one job on its kind's shared orchestrator under its
-// own cancellable, deadline-bounded context, then folds the outcome
-// grid into density points or LBS curves.
+// own cancellable, deadline-bounded context, and lands it in the
+// terminal state the run earned.
 func (m *Manager) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.opts.JobTimeout)
 	defer cancel()
@@ -436,112 +402,61 @@ func (m *Manager) runJob(j *Job) {
 	j.mu.Lock()
 	if j.canceled { // cancel raced the dequeue
 		j.mu.Unlock()
-		now := time.Now()
-		if j.transition(JobCanceled, "canceled while queued", now) {
-			m.met.jobsCanceled.Add(1)
-			m.appendWAL(walRecord{Op: walCancel, ID: j.ID, Time: now, Err: "canceled while queued"})
-		}
+		m.settle(j, JobCanceled, "canceled while queued")
 		return
 	}
 	j.cancel = cancel
 	j.mu.Unlock()
 
-	startNow := time.Now()
-	j.transition(JobRunning, "", startNow)
-	m.appendWAL(walRecord{Op: walStart, ID: j.ID, Time: startNow})
+	start := time.Now()
+	j.transition(JobRunning, "", start)
+	m.appendWAL(walRecord{Op: walStart, ID: j.ID, Time: start})
 	m.met.jobsRunning.Add(1)
 	defer m.met.jobsRunning.Add(-1)
-	m.opts.Logf("serve: %v started (%d cells)", j, j.totalCells())
+	m.opts.Logf("serve: %v started (%d cells)", j, j.spec.cells())
 
-	start := time.Now()
-	if j.LBSReq != nil {
-		req := *j.LBSReq
-		runCells(ctx, m, j, start, m.lbsOrch, req.Cells(), func(outs []exp.Outcome[lbs.Result]) walRecord {
-			curves := lbs.Fold(req, outs)
-			j.mu.Lock()
-			j.curves = curves
-			j.mu.Unlock()
-			return walRecord{Curves: curves}
-		})
-		return
-	}
-	protos := make([]core.Protocol, len(j.Req.Protocols))
-	for i, name := range j.Req.Protocols {
-		protos[i], _ = ParseProtocol(name) // validated at admission
-	}
-	cells := core.SweepCells(j.Req.Base, j.Req.NodeCounts, protos, j.Req.Repeats)
-	runCells(ctx, m, j, start, m.orch, cells, func(outs []exp.Outcome[core.Result]) walRecord {
-		points := core.FoldSweep(j.Req.NodeCounts, protos, j.Req.Repeats, outs)
-		j.mu.Lock()
-		j.points = points
-		j.mu.Unlock()
-		return walRecord{Points: points}
-	})
-}
-
-// runCells is runJob's shared tail for every job kind: execute the
-// grid on o, tally the outcomes into the job's cell counts, and land
-// the job in its terminal state. fold runs only on clean completion (a
-// run that finished cleanly is done even if the context died a moment
-// later); it stores the folded result on the job and returns the done
-// record's result payload.
-func runCells[C, R any](ctx context.Context, m *Manager, j *Job, start time.Time, o *exp.Orchestrator[C, R], cells []exp.Cell[C], fold func([]exp.Outcome[R]) walRecord) {
-	outs, err := o.ExecuteContext(ctx, cells, j)
-	counts := CellCounts{Total: len(outs)}
-	for _, oc := range outs {
-		if oc.Cached {
-			counts.Cached++
-		}
-		if oc.Err != nil {
-			counts.Failed++
-		}
-	}
+	result, counts, err := j.spec.run(ctx, m, j)
 	j.mu.Lock()
+	j.result = result
 	j.cells = counts
 	j.cancel = nil // execution is over
 	j.mu.Unlock()
-	m.finishJob(ctx, j, start, err, counts, func() walRecord { return fold(outs) })
-}
 
-// finishJob lands a finished run in its terminal state, with the WAL
-// record and metrics that state owes. commitDone runs only on clean
-// completion: it stores the folded result on the job and returns the
-// done record's result payload (Op/ID/Time/Cells are filled in here).
-func (m *Manager) finishJob(ctx context.Context, j *Job, start time.Time, err error, counts CellCounts, commitDone func() walRecord) {
-	now := time.Now()
+	elapsed := time.Since(start).Round(time.Millisecond)
+	// A run that finished cleanly is done even if the context died a
+	// moment later.
 	switch {
 	case err != nil && errors.Is(ctx.Err(), context.Canceled):
-		if j.transition(JobCanceled, "canceled", now) {
-			m.met.jobsCanceled.Add(1)
-			m.appendWAL(walRecord{Op: walCancel, ID: j.ID, Time: now, Err: "canceled"})
-		}
-		m.opts.Logf("serve: %v canceled after %v", j, now.Sub(start).Round(time.Millisecond))
+		m.settle(j, JobCanceled, "canceled")
+		m.opts.Logf("serve: %v canceled after %v", j, elapsed)
 	case err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
-		msg := fmt.Sprintf("job timeout %v exceeded", m.opts.JobTimeout)
-		if j.transition(JobFailed, msg, now) {
-			m.met.jobsFailed.Add(1)
-			m.appendWAL(walRecord{Op: walFail, ID: j.ID, Time: now, Err: msg})
-		}
-		m.opts.Logf("serve: %v timed out after %v", j, now.Sub(start).Round(time.Millisecond))
+		m.settle(j, JobFailed, fmt.Sprintf("job timeout %v exceeded", m.opts.JobTimeout))
+		m.opts.Logf("serve: %v timed out after %v", j, elapsed)
 	case err != nil:
-		if j.transition(JobFailed, err.Error(), now) {
-			m.met.jobsFailed.Add(1)
-			m.appendWAL(walRecord{Op: walFail, ID: j.ID, Time: now, Err: err.Error()})
-		}
+		m.settle(j, JobFailed, err.Error())
 		m.opts.Logf("serve: %v failed: %v", j, err)
 	default:
-		rec := commitDone()
-		if j.transition(JobDone, "", now) {
-			m.met.jobsDone.Add(1)
-			// The done record carries the folded result, so a restarted
-			// daemon serves this job without touching the orchestrator.
-			cc := counts
-			rec.Op, rec.ID, rec.Time, rec.Cells = walDone, j.ID, now, &cc
-			m.appendWAL(rec)
-		}
-		m.opts.Logf("serve: %v done in %v (%d/%d cells cached)",
-			j, now.Sub(start).Round(time.Millisecond), counts.Cached, counts.Total)
+		m.settle(j, JobDone, "")
+		m.opts.Logf("serve: %v done in %v (%d/%d cells cached)", j, elapsed, counts.Cached, counts.Total)
 	}
+}
+
+// settle lands j in a terminal state and, unless it already was
+// terminal (a cancel racing a natural finish keeps whichever landed
+// first), counts it and journals its terminal record.
+func (m *Manager) settle(j *Job, state JobState, msg string) {
+	if !j.transition(state, msg, time.Now()) {
+		return
+	}
+	switch state {
+	case JobDone:
+		m.met.jobsDone.Add(1)
+	case JobFailed:
+		m.met.jobsFailed.Add(1)
+	case JobCanceled:
+		m.met.jobsCanceled.Add(1)
+	}
+	m.appendWAL(j.record())
 }
 
 // Drain shuts the manager down gracefully: admission closes

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"anongeo/internal/core"
 	"anongeo/internal/durable"
-	"anongeo/internal/lbs"
 )
 
 // The serve daemon's write-ahead log. Every job lifecycle decision is
@@ -19,8 +17,8 @@ import (
 //
 //	admit  — the normalized request, before the job enters the queue
 //	start  — a scheduler worker picked the job up
-//	done   — the folded grid points and cell counts (the full result,
-//	         so status reads survive restarts without recomputation)
+//	done   — the folded result (points or curves) and cell counts, so
+//	         status reads survive restarts without recomputation
 //	fail   — terminal failure with the error message
 //	cancel — terminal cancellation
 //
@@ -47,163 +45,104 @@ const (
 const walFileName = "jobs.wal"
 
 // walRecord is one journal entry, JSON-encoded inside the durable
-// frame. Fields are per-op: Req (or LBSReq, for LBS jobs) on admit,
-// Points/Curves/Cells on done, Err on fail/cancel. LBS fields are
-// omitempty additions, so sweep-job records are byte-identical to what
-// pre-LBS builds wrote and either build replays the other's journal.
+// frame. Fields are per-op: the job's spec on admit, its result and
+// cell counts on done, Err on fail/cancel. The embedded spec and result
+// encode as flat fields, and an LBS job's lbs_req/curves are omitempty
+// additions, so sweep-job records are byte-identical to what pre-LBS
+// builds wrote and either build replays the other's journal.
 type walRecord struct {
 	Op   walOp     `json:"op"`
 	ID   string    `json:"id"`
 	Time time.Time `json:"time"`
 
-	Req    *SweepRequest       `json:"req,omitempty"`
-	LBSReq *lbs.SweepRequest   `json:"lbs_req,omitempty"`
-	Err    string              `json:"err,omitempty"`
-	Points []core.DensityPoint `json:"points,omitempty"`
-	Curves []lbs.CurvePoint    `json:"curves,omitempty"`
-	Cells  *CellCounts         `json:"cells,omitempty"`
+	jobSpec
+	Err string `json:"err,omitempty"`
+	jobResult
+	Cells *CellCounts `json:"cells,omitempty"`
 }
 
-// walJob is one job's state as folded from the journal during replay.
-type walJob struct {
-	id       string
-	req      SweepRequest
-	lbsReq   *lbs.SweepRequest
-	state    JobState
-	err      string
-	points   []core.DensityPoint
-	curves   []lbs.CurvePoint
-	cells    CellCounts
-	created  time.Time
-	started  time.Time
-	finished time.Time
-}
-
-// foldWAL folds raw journal payloads into per-job state in first-admit
-// order. Records that fail to decode (version skew from a future or
-// past build — the CRC already proved they are not torn) are skipped,
-// as are transitions for jobs with no surviving admit record: recovery
-// prefers losing a record to inventing state.
-func foldWAL(payloads [][]byte) []*walJob {
+// foldWAL replays raw journal payloads into the jobs they describe, in
+// first-admit order. Each record drives the lifecycle transition it
+// recorded, so a restored job carries the state, result and (condensed)
+// event log the live one had; a job the journal leaves unfinished comes
+// back queued, for re-admission under its ID. Records that fail to
+// decode (version skew from a future or past build — the CRC already
+// proved they are not torn) are skipped, as are transitions for jobs
+// with no surviving admit record: recovery prefers losing a record to
+// inventing state.
+func foldWAL(payloads [][]byte) []*Job {
 	var order []string
-	jobs := make(map[string]*walJob)
+	jobs := make(map[string]*Job)
 	for _, p := range payloads {
 		var rec walRecord
 		if err := json.Unmarshal(p, &rec); err != nil || rec.ID == "" {
 			continue
 		}
-		switch rec.Op {
-		case walAdmit:
-			if rec.Req == nil && rec.LBSReq == nil {
-				continue
-			}
-			j, ok := jobs[rec.ID]
-			if !ok {
-				j = &walJob{id: rec.ID}
-				jobs[rec.ID] = j
+		j := jobs[rec.ID]
+		switch {
+		case rec.Op == walAdmit && rec.jobSpec != (jobSpec{}):
+			if j == nil {
 				order = append(order, rec.ID)
 			}
 			// A re-admit after a failed/canceled attempt restarts the
 			// lifecycle under the same ID, exactly like Submit does.
-			j.req, j.lbsReq = SweepRequest{}, nil
-			if rec.Req != nil {
-				j.req = *rec.Req
-			} else {
-				j.lbsReq = rec.LBSReq
-			}
-			j.state = JobQueued
-			j.err = ""
-			j.points, j.curves = nil, nil
-			j.cells = CellCounts{}
-			j.created = rec.Time
-			j.started, j.finished = time.Time{}, time.Time{}
-		case walStart:
-			if j, ok := jobs[rec.ID]; ok && !j.state.Terminal() {
-				j.state = JobRunning
-				j.started = rec.Time
-			}
-		case walDone:
-			if j, ok := jobs[rec.ID]; ok && !j.state.Terminal() {
-				j.state = JobDone
-				j.points = rec.Points
-				j.curves = rec.Curves
+			jobs[rec.ID] = newJob(rec.ID, rec.jobSpec, rec.Time)
+		case j == nil:
+		case rec.Op == walStart:
+			j.transition(JobRunning, "", rec.Time)
+		case rec.Op == walDone:
+			if !j.state.Terminal() {
+				j.result = rec.jobResult
 				if rec.Cells != nil {
 					j.cells = *rec.Cells
 				}
-				j.finished = rec.Time
 			}
-		case walFail:
-			if j, ok := jobs[rec.ID]; ok && !j.state.Terminal() {
-				j.state = JobFailed
-				j.err = rec.Err
-				j.finished = rec.Time
-			}
-		case walCancel:
-			if j, ok := jobs[rec.ID]; ok && !j.state.Terminal() {
-				j.state = JobCanceled
-				j.err = rec.Err
-				j.finished = rec.Time
-			}
+			j.transition(JobDone, "", rec.Time)
+		case rec.Op == walFail:
+			j.transition(JobFailed, rec.Err, rec.Time)
+		case rec.Op == walCancel:
+			j.transition(JobCanceled, rec.Err, rec.Time)
 		}
 	}
-	out := make([]*walJob, 0, len(order))
-	for _, id := range order {
-		out = append(out, jobs[id])
+	out := make([]*Job, len(order))
+	for i, id := range order {
+		out[i] = jobs[id]
+		if !out[i].state.Terminal() {
+			out[i] = newJob(id, out[i].spec, out[i].created)
+		}
 	}
 	return out
 }
 
 // snapshotWAL renders the compacted journal for a set of replayed jobs:
-// one admit record per job, plus its start/terminal records. Replaying
-// the snapshot folds back to the same state as replaying the full
-// history.
-func snapshotWAL(jobs []*walJob) ([][]byte, error) {
+// each job's admit record, plus its start and terminal records, with
+// spec and result re-emitted verbatim. Replaying the snapshot folds back
+// to the same state as replaying the full history.
+func snapshotWAL(jobs []*Job) ([][]byte, error) {
 	var recs [][]byte
-	add := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, b)
-		return nil
-	}
 	for _, j := range jobs {
-		admit := walRecord{Op: walAdmit, ID: j.id, Time: j.created, LBSReq: j.lbsReq}
-		if j.lbsReq == nil {
-			req := j.req
-			admit.Req = &req
+		lifecycle := []walRecord{{Op: walAdmit, ID: j.ID, Time: j.created, jobSpec: j.spec}}
+		if !j.started.IsZero() {
+			lifecycle = append(lifecycle, walRecord{Op: walStart, ID: j.ID, Time: j.started})
 		}
-		if err := add(admit); err != nil {
-			return nil, err
+		if j.state.Terminal() {
+			lifecycle = append(lifecycle, j.record())
 		}
-		if !j.started.IsZero() && j.state != JobQueued {
-			if err := add(walRecord{Op: walStart, ID: j.id, Time: j.started}); err != nil {
+		for _, rec := range lifecycle {
+			b, err := json.Marshal(rec)
+			if err != nil {
 				return nil, err
 			}
-		}
-		var term *walRecord
-		switch j.state {
-		case JobDone:
-			cells := j.cells
-			term = &walRecord{Op: walDone, ID: j.id, Time: j.finished, Points: j.points, Curves: j.curves, Cells: &cells}
-		case JobFailed:
-			term = &walRecord{Op: walFail, ID: j.id, Time: j.finished, Err: j.err}
-		case JobCanceled:
-			term = &walRecord{Op: walCancel, ID: j.id, Time: j.finished, Err: j.err}
-		}
-		if term != nil {
-			if err := add(*term); err != nil {
-				return nil, err
-			}
+			recs = append(recs, b)
 		}
 	}
 	return recs, nil
 }
 
 // openWAL recovers the journal under dir: replay, compact, reopen. It
-// returns the journal handle positioned for appending, the folded jobs,
+// returns the journal handle positioned for appending, the restored jobs,
 // and how many raw records the recovery scan accepted.
-func openWAL(dir string) (*durable.Journal, []*walJob, int, error) {
+func openWAL(dir string) (*durable.Journal, []*Job, int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}

@@ -44,15 +44,15 @@ func TestFoldWALLifecycle(t *testing.T) {
 
 	payloads := [][]byte{
 		// Job A: admit → start → done. Later cancel must not undo it.
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "a", Time: walTime(0), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "a", Time: walTime(0), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "a", Time: walTime(1)}),
-		mustMarshal(t, walRecord{Op: walDone, ID: "a", Time: walTime(2), Points: pts, Cells: cells}),
+		mustMarshal(t, walRecord{Op: walDone, ID: "a", Time: walTime(2), jobResult: jobResult{Points: pts}, Cells: cells}),
 		mustMarshal(t, walRecord{Op: walCancel, ID: "a", Time: walTime(3), Err: "too late"}),
 		// Job B: admit → start → fail → re-admit. Folds to a fresh queued job.
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "b", Time: walTime(4), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "b", Time: walTime(4), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "b", Time: walTime(5)}),
 		mustMarshal(t, walRecord{Op: walFail, ID: "b", Time: walTime(6), Err: "boom"}),
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "b", Time: walTime(7), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "b", Time: walTime(7), jobSpec: jobSpec{Req: &norm}}),
 		// Job C: transitions with no admit record — dropped, not invented.
 		mustMarshal(t, walRecord{Op: walStart, ID: "c", Time: walTime(8)}),
 		mustMarshal(t, walRecord{Op: walDone, ID: "c", Time: walTime(9)}),
@@ -66,13 +66,13 @@ func TestFoldWALLifecycle(t *testing.T) {
 		t.Fatalf("folded %d jobs, want 2 (a, b)", len(jobs))
 	}
 	a, b := jobs[0], jobs[1]
-	if a.id != "a" || a.state != JobDone || !reflect.DeepEqual(a.points, pts) || a.cells != *cells {
+	if a.ID != "a" || a.state != JobDone || !reflect.DeepEqual(a.result.Points, pts) || a.cells != *cells {
 		t.Errorf("job a folded to %+v, want done with points", a)
 	}
 	if !a.finished.Equal(walTime(2)) {
 		t.Errorf("job a finished = %v, want %v (cancel after done must not re-terminate)", a.finished, walTime(2))
 	}
-	if b.id != "b" || b.state != JobQueued || b.err != "" || b.points != nil {
+	if b.ID != "b" || b.state != JobQueued || b.err != "" || b.result.Points != nil {
 		t.Errorf("job b folded to %+v, want a fresh queued re-admission", b)
 	}
 	if !b.created.Equal(walTime(7)) {
@@ -89,21 +89,21 @@ func TestSnapshotWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	history := [][]byte{
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "done", Time: walTime(0), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "done", Time: walTime(0), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "done", Time: walTime(1)}),
 		mustMarshal(t, walRecord{Op: walDone, ID: "done", Time: walTime(2),
-			Points: []core.DensityPoint{{Nodes: 14}}, Cells: &CellCounts{Total: 2}}),
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "failed", Time: walTime(3), Req: &norm}),
+			jobResult: jobResult{Points: []core.DensityPoint{{Nodes: 14}}}, Cells: &CellCounts{Total: 2}}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "failed", Time: walTime(3), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "failed", Time: walTime(4)}),
 		mustMarshal(t, walRecord{Op: walFail, ID: "failed", Time: walTime(5), Err: "boom"}),
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "interrupted", Time: walTime(6), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "interrupted", Time: walTime(6), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "interrupted", Time: walTime(7)}),
 		// A prior failed attempt and its re-admission, plus garbage: the
 		// compacted snapshot keeps only the live lifecycle.
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "queued", Time: walTime(8), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "queued", Time: walTime(8), jobSpec: jobSpec{Req: &norm}}),
 		mustMarshal(t, walRecord{Op: walStart, ID: "queued", Time: walTime(9)}),
 		mustMarshal(t, walRecord{Op: walFail, ID: "queued", Time: walTime(10), Err: "first try"}),
-		mustMarshal(t, walRecord{Op: walAdmit, ID: "queued", Time: walTime(11), Req: &norm}),
+		mustMarshal(t, walRecord{Op: walAdmit, ID: "queued", Time: walTime(11), jobSpec: jobSpec{Req: &norm}}),
 		[]byte("version-skewed garbage"),
 	}
 	jobs := foldWAL(history)
@@ -115,9 +115,20 @@ func TestSnapshotWALRoundTrip(t *testing.T) {
 		t.Errorf("snapshot has %d records, want fewer than the %d-record history", len(snap), len(history))
 	}
 	refolded := foldWAL(snap)
-	if !reflect.DeepEqual(jobs, refolded) {
-		t.Errorf("fold(snapshot(jobs)) != jobs:\n got %+v\nwant %+v", refolded, jobs)
+	if got, want := servedState(refolded), servedState(jobs); !reflect.DeepEqual(got, want) {
+		t.Errorf("fold(snapshot(jobs)) != jobs:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// servedState is what a folded job table serves: each job's status and
+// event log.
+func servedState(jobs []*Job) []any {
+	var out []any
+	for _, j := range jobs {
+		events, _, _ := j.eventsSince(0)
+		out = append(out, j.snapshot(), events)
+	}
+	return out
 }
 
 // writeWAL hand-crafts a journal file the way a crashed daemon would
@@ -152,7 +163,7 @@ func TestReplayReadmitsInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeWAL(t, dir,
-		walRecord{Op: walAdmit, ID: id, Time: walTime(0), Req: &norm},
+		walRecord{Op: walAdmit, ID: id, Time: walTime(0), jobSpec: jobSpec{Req: &norm}},
 		walRecord{Op: walStart, ID: id, Time: walTime(1)})
 
 	srv, ts := newTestServer(t, Options{JournalDir: dir, CacheDir: filepath.Join(dir, "cache")}, nil)
@@ -227,7 +238,7 @@ func TestReplayedFailureIsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeWAL(t, dir,
-		walRecord{Op: walAdmit, ID: id, Time: walTime(0), Req: &norm},
+		walRecord{Op: walAdmit, ID: id, Time: walTime(0), jobSpec: jobSpec{Req: &norm}},
 		walRecord{Op: walStart, ID: id, Time: walTime(1)},
 		walRecord{Op: walFail, ID: id, Time: walTime(2), Err: "crashed dependency"})
 
@@ -322,5 +333,50 @@ func TestSubmitCancelRace(t *testing.T) {
 			t.Fatalf("job never converged to done (last err %v)", err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWALAdmitPrecedesStart: a job's admit record is journaled before
+// the job is queued, so no worker can journal its start first — a start
+// with no admit ahead of it is dropped on replay, and the restored job
+// loses its start time.
+func TestWALAdmitPrecedesStart(t *testing.T) {
+	dir := t.TempDir()
+	man, err := NewManager(Options{JournalDir: dir, JobWorkers: 2, QueueDepth: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.orch.RunCtx = func(ctx context.Context, cfg core.Config) (core.Result, error) {
+		return core.Result{}, nil
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		req := tinyRequest()
+		req.Base.Seed = seed
+		if _, _, err := man.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := man.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	jr, payloads, err := durable.Open(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	admitted := make(map[string]bool)
+	for _, p := range payloads {
+		var rec walRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == walAdmit {
+			admitted[rec.ID] = true
+		} else if !admitted[rec.ID] {
+			t.Errorf("%s record for job %s precedes its admit", rec.Op, shortID(rec.ID))
+		}
+	}
+	if len(admitted) != 20 {
+		t.Errorf("journal admitted %d jobs, want 20", len(admitted))
 	}
 }
