@@ -149,7 +149,7 @@ func benchALS(b *testing.B, entries int, scan bool) {
 	ssa := locservice.NewServerSelection(grid, 1)
 	keys := map[anoncrypto.Identity]*anoncrypto.KeyPair{}
 	mk := func(id anoncrypto.Identity) *anoncrypto.KeyPair {
-		kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func run() error {
 
 	keys := map[anoncrypto.Identity]*anoncrypto.KeyPair{}
 	mk := func(id anoncrypto.Identity) (*anoncrypto.KeyPair, error) {
-		kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
 		if err != nil {
 			return nil, err
 		}

@@ -260,7 +260,7 @@ func ringFixtures(n int) ([]*anoncrypto.KeyPair, error) {
 	}
 	keys := make([]*anoncrypto.KeyPair, 0, n)
 	for i := 0; i < n; i++ {
-		kp, err := anoncrypto.GenerateKeyPair(anoncrypto.Identity(fmt.Sprintf("m%d", i)), anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(anoncrypto.Identity(fmt.Sprintf("m%d", i)), anoncrypto.DefaultKeyBits)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +378,7 @@ func (r *runner) ablationALS() error {
 	for _, m := range []int{4, 8, 16, 32, 64} {
 		keys := map[anoncrypto.Identity]*anoncrypto.KeyPair{}
 		mk := func(id anoncrypto.Identity) *anoncrypto.KeyPair {
-			kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
+			kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
 			if err != nil {
 				panic(err)
 			}

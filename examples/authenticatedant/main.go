@@ -28,7 +28,7 @@ func main() {
 	keys := map[anoncrypto.Identity]*anoncrypto.KeyPair{}
 	var certs []*anoncrypto.Cert
 	for _, n := range names {
-		kp, err := anoncrypto.GenerateKeyPair(n, anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(n, anoncrypto.DefaultKeyBits)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("one is cryptographically hidden (ring signature signer-ambiguity)\n\n")
 
 	// Mallory has no CA certificate. She forges one and tries anyway.
-	mallory, err := anoncrypto.GenerateKeyPair("mallory", anoncrypto.DefaultKeyBits)
+	mallory, err := anoncrypto.KeyPairFor("mallory", anoncrypto.DefaultKeyBits)
 	if err != nil {
 		log.Fatal(err)
 	}

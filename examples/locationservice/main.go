@@ -27,7 +27,7 @@ func main() {
 	// location server for Alice's home grid — and is curious.
 	keys := map[anoncrypto.Identity]*anoncrypto.KeyPair{}
 	for _, id := range []anoncrypto.Identity{"alice", "bob", "carol"} {
-		kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
 		if err != nil {
 			log.Fatal(err)
 		}

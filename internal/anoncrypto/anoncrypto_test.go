@@ -28,9 +28,9 @@ func fixtures(t testing.TB) ([]*KeyPair, []*Cert, *CA) {
 		}
 		poolCA = ca
 		for i := 0; i < 8; i++ {
-			kp, err := GenerateKeyPair(Identity(rune('A'+i)), DefaultKeyBits)
+			kp, err := KeyPairFor(Identity(rune('A'+i)), DefaultKeyBits)
 			if err != nil {
-				t.Fatalf("GenerateKeyPair: %v", err)
+				t.Fatalf("KeyPairFor: %v", err)
 			}
 			cert, err := ca.Issue(kp)
 			if err != nil {
@@ -51,8 +51,8 @@ func ringOf(keys []*KeyPair, idx ...int) []*rsa.PublicKey {
 	return ring
 }
 
-func TestGenerateKeyPairValidation(t *testing.T) {
-	if _, err := GenerateKeyPair("x", 256); err == nil {
+func TestKeyPairForValidation(t *testing.T) {
+	if _, err := KeyPairFor("x", 256); err == nil {
 		t.Fatal("expected error for 256-bit key")
 	}
 }

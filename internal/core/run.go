@@ -165,7 +165,7 @@ func Build(cfg Config) (*Network, error) {
 	if cfg.RealCrypto || cfg.LocationService == LSALS {
 		keys = make(map[anoncrypto.Identity]*anoncrypto.KeyPair, cfg.Nodes)
 		for i := 0; i < cfg.Nodes; i++ {
-			kp, err := anoncrypto.GenerateKeyPair(NodeID(i), anoncrypto.DefaultKeyBits)
+			kp, err := anoncrypto.KeyPairFor(NodeID(i), anoncrypto.DefaultKeyBits)
 			if err != nil {
 				return nil, fmt.Errorf("core: node %d keygen: %w", i, err)
 			}

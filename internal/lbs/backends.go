@@ -153,7 +153,7 @@ func newPaperALS(cfg Config) (*paperALS, error) {
 	}
 	p.keys = make([]*anoncrypto.KeyPair, cfg.Clients)
 	for i := range p.keys {
-		kp, err := anoncrypto.GenerateKeyPair(clientID(i), cfg.KeyBits)
+		kp, err := anoncrypto.KeyPairFor(clientID(i), cfg.KeyBits)
 		if err != nil {
 			return nil, err
 		}

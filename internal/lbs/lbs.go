@@ -30,9 +30,12 @@
 //
 // Determinism contract: Run is a pure function of Config. All
 // randomness comes from seed-derived math/rand streams drawn in a fixed
-// order; crypto/rand is used only inside RSA operations whose outputs
-// never reach a metric (ciphertext sizes are fixed by the key size).
-// Executing a sweep at any parallel width is bit-identical to serial.
+// order. paperals client keys are anoncrypto.KeyPairFor(identity,
+// key bits): deterministic and shared process-wide, not drawn per run.
+// crypto/rand is used only for the padding inside RSA sealing, whose
+// bytes never reach a metric (ciphertext sizes are fixed by the key
+// size). Executing a sweep at any parallel width is bit-identical to
+// serial.
 package lbs
 
 import (

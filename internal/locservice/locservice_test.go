@@ -2,7 +2,6 @@ package locservice
 
 import (
 	"crypto/rsa"
-	"sync"
 	"testing"
 
 	"anongeo/internal/anoncrypto"
@@ -12,24 +11,17 @@ import (
 
 const ttl = 30 * sim.Second
 
-var (
-	lsOnce sync.Once
-	lsKeys map[anoncrypto.Identity]*anoncrypto.KeyPair
-)
-
 func lsFixtures(t testing.TB) map[anoncrypto.Identity]*anoncrypto.KeyPair {
 	t.Helper()
-	lsOnce.Do(func() {
-		lsKeys = make(map[anoncrypto.Identity]*anoncrypto.KeyPair)
-		for _, id := range []anoncrypto.Identity{"A", "B", "C", "D", "E"} {
-			kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
-			if err != nil {
-				t.Fatalf("keygen: %v", err)
-			}
-			lsKeys[id] = kp
+	keys := make(map[anoncrypto.Identity]*anoncrypto.KeyPair)
+	for _, id := range []anoncrypto.Identity{"A", "B", "C", "D", "E"} {
+		kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
+		if err != nil {
+			t.Fatalf("keygen: %v", err)
 		}
-	})
-	return lsKeys
+		keys[id] = kp
+	}
+	return keys
 }
 
 func testSSA() ServerSelection {

@@ -28,9 +28,9 @@ func authFixtures(t testing.TB) ([]*anoncrypto.KeyPair, []*anoncrypto.Cert, *ano
 		authCA = ca
 		names := []anoncrypto.Identity{"alice", "bob", "carol", "dave", "erin", "frank"}
 		for _, n := range names {
-			kp, err := anoncrypto.GenerateKeyPair(n, anoncrypto.DefaultKeyBits)
+			kp, err := anoncrypto.KeyPairFor(n, anoncrypto.DefaultKeyBits)
 			if err != nil {
-				t.Fatalf("GenerateKeyPair: %v", err)
+				t.Fatalf("KeyPairFor: %v", err)
 			}
 			c, err := ca.Issue(kp)
 			if err != nil {
@@ -121,7 +121,7 @@ func TestAuthHelloForgedRingRejected(t *testing.T) {
 	keys, certs, ca := authFixtures(t)
 	v := NewVerifier(ca.PublicKey())
 	// An outsider with a self-made (un-certified) key tries to join a ring.
-	outsider, err := anoncrypto.GenerateKeyPair("mallory", anoncrypto.DefaultKeyBits)
+	outsider, err := anoncrypto.KeyPairFor("mallory", anoncrypto.DefaultKeyBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,7 +388,7 @@ func TestRealTrapdoorSchemeEndToEnd(t *testing.T) {
 	keys := make(map[anoncrypto.Identity]*anoncrypto.KeyPair)
 	ids := []anoncrypto.Identity{"n0", "n1", "n2"}
 	for _, id := range ids {
-		kp, err := anoncrypto.GenerateKeyPair(id, anoncrypto.DefaultKeyBits)
+		kp, err := anoncrypto.KeyPairFor(id, anoncrypto.DefaultKeyBits)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func authFixtures(t testing.TB) (*anoncrypto.CA, []*anoncrypto.KeyPair, []*anonc
 		}
 		authCA = ca
 		for i := 0; i < 6; i++ {
-			kp, err := anoncrypto.GenerateKeyPair(anoncrypto.Identity(fmt.Sprintf("n%d", i)), anoncrypto.DefaultKeyBits)
+			kp, err := anoncrypto.KeyPairFor(anoncrypto.Identity(fmt.Sprintf("n%d", i)), anoncrypto.DefaultKeyBits)
 			if err != nil {
 				t.Fatalf("keygen: %v", err)
 			}
