@@ -98,17 +98,6 @@ func Build(cfg Config) (*Network, error) { return core.Build(cfg) }
 // NodeID formats the canonical identity of node index i ("n<i>").
 func NodeID(i int) Identity { return core.NodeID(i) }
 
-// DensitySweep runs cfg across node counts and protocols (one seed per
-// cell); DensitySweepN averages each cell over several seeds.
-func DensitySweep(base Config, nodeCounts []int, protocols []Protocol) ([]DensityPoint, error) {
-	return core.DensitySweep(base, nodeCounts, protocols)
-}
-
-// DensitySweepN is DensitySweep averaged over `repeats` seeds per cell.
-func DensitySweepN(base Config, nodeCounts []int, protocols []Protocol, repeats int) ([]DensityPoint, error) {
-	return core.DensitySweepN(base, nodeCounts, protocols, repeats)
-}
-
 // Experiment orchestration (internal/exp): sweeps execute on a bounded
 // worker pool with an optional content-addressed result cache and run
 // telemetry. Parallel execution is bit-for-bit identical to serial.
@@ -126,8 +115,9 @@ type (
 // (".expcache", git-ignored).
 const DefaultCacheDir = exp.DefaultCacheDir
 
-// DensitySweepOpts is DensitySweep with full execution control:
-// parallel workers, on-disk result caching, per-cell retries, and
+// DensitySweepOpts runs cfg across node counts and protocols, the
+// Figure 1 grid, with full execution control: repeats averaged per
+// cell, parallel workers, on-disk result caching, per-cell retries, and
 // progress telemetry.
 func DensitySweepOpts(base Config, nodeCounts []int, protocols []Protocol, opt SweepOptions) ([]DensityPoint, error) {
 	return core.DensitySweepOpts(base, nodeCounts, protocols, opt)

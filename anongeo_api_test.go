@@ -63,8 +63,8 @@ func TestPublicBuildAndInspect(t *testing.T) {
 func TestPublicSweepAndWriters(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 20 * time.Second
-	pts, err := anongeo.DensitySweep(cfg, []int{20, 30},
-		[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFWNoAck})
+	pts, err := anongeo.DensitySweepOpts(cfg, []int{20, 30},
+		[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFWNoAck}, anongeo.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -23,40 +25,43 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "agrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("agrsim", flag.ContinueOnError)
 	var (
-		proto     = flag.String("proto", "agfw", "protocol: gpsr | agfw | agfw-noack")
-		nodes     = flag.Int("nodes", 50, "number of nodes")
-		duration  = flag.Duration("duration", 900*time.Second, "simulated time")
-		seed      = flag.Int64("seed", 1, "random seed")
-		interval  = flag.Duration("interval", 250*time.Millisecond, "per-flow CBR packet interval")
-		payload   = flag.Int("payload", 64, "application payload bytes")
-		flows     = flag.Int("flows", 30, "number of CBR flows")
-		senders   = flag.Int("senders", 20, "number of distinct sending nodes")
-		static    = flag.Bool("static", false, "disable mobility")
-		perimeter = flag.Bool("perimeter", false, "enable GPSR perimeter recovery")
-		policy    = flag.String("policy", "weighted", "AGFW next-hop policy: closest | freshest | weighted")
-		expose    = flag.Bool("expose-mac", false, "AGFW misconfiguration: real source MAC addresses")
-		realCrypt = flag.Bool("real-crypto", false, "use genuine RSA-512 trapdoors")
-		authK     = flag.Int("authk", 0, "authenticated hellos with k ring decoys (0 = plain)")
-		sniffer   = flag.Bool("sniffer", false, "attach a global eavesdropper and report its harvest")
-		reach     = flag.Bool("reach-filter", true, "AGFW: skip possibly out-of-range next hops")
-		csv       = flag.Bool("csv", false, "machine-readable one-line CSV output")
-		traceN    = flag.Int("trace", 0, "print the last N router trace events")
-		repeat    = flag.Int("repeat", 1, "run the scenario under that many consecutive seeds")
-		parallel  = flag.Int("parallel", 0, "worker pool size for -repeat > 1 (0 = GOMAXPROCS)")
-		cache     = flag.Bool("cache", false, "memoize results under "+exp.DefaultCacheDir+"/ (skipped with -sniffer or -trace)")
-		progress  = flag.String("progress", "off", "run telemetry to stderr: off | stderr | jsonl")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		proto     = fs.String("proto", "agfw", "protocol: gpsr | agfw | agfw-noack")
+		nodes     = fs.Int("nodes", 50, "number of nodes")
+		duration  = fs.Duration("duration", 900*time.Second, "simulated time")
+		seed      = fs.Int64("seed", 1, "random seed")
+		interval  = fs.Duration("interval", 250*time.Millisecond, "per-flow CBR packet interval")
+		payload   = fs.Int("payload", 64, "application payload bytes")
+		flows     = fs.Int("flows", 30, "number of CBR flows")
+		senders   = fs.Int("senders", 20, "number of distinct sending nodes")
+		static    = fs.Bool("static", false, "disable mobility")
+		perimeter = fs.Bool("perimeter", false, "enable GPSR perimeter recovery")
+		policy    = fs.String("policy", "weighted", "AGFW next-hop policy: closest | freshest | weighted")
+		expose    = fs.Bool("expose-mac", false, "AGFW misconfiguration: real source MAC addresses")
+		realCrypt = fs.Bool("real-crypto", false, "use genuine RSA-512 trapdoors")
+		authK     = fs.Int("authk", 0, "authenticated hellos with k ring decoys (0 = plain)")
+		sniffer   = fs.Bool("sniffer", false, "attach a global eavesdropper and report its harvest")
+		reach     = fs.Bool("reach-filter", true, "AGFW: skip possibly out-of-range next hops")
+		csv       = fs.Bool("csv", false, "machine-readable one-line CSV output")
+		traceN    = fs.Int("trace", 0, "print the last N router trace events")
+		repeat    = fs.Int("repeat", 1, "run the scenario under that many consecutive seeds")
+		parallel  = fs.Int("parallel", 0, "worker pool size for -repeat > 1 (0 = GOMAXPROCS)")
+		cache     = fs.Bool("cache", false, "memoize results under "+exp.DefaultCacheDir+"/ (skipped with -sniffer or -trace)")
+		progress  = fs.String("progress", "off", "run telemetry to stderr: off | stderr | jsonl")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -104,101 +109,71 @@ func run() error {
 		cfg.Trace = tl
 	}
 
-	switch *proto {
-	case "gpsr":
-		cfg.Protocol = anongeo.ProtoGPSR
-	case "agfw":
-		cfg.Protocol = anongeo.ProtoAGFW
-	case "agfw-noack":
-		cfg.Protocol = anongeo.ProtoAGFWNoAck
-	default:
-		return fmt.Errorf("unknown protocol %q", *proto)
-	}
-	switch *policy {
-	case "closest":
-		cfg.Policy = anongeo.PolicyClosest
-	case "freshest":
-		cfg.Policy = anongeo.PolicyFreshest
-	case "weighted":
-		cfg.Policy = anongeo.PolicyWeighted
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
-
 	// Even a single scenario goes through the experiment orchestrator:
 	// it contributes the result cache, telemetry, and (with -repeat)
 	// seed batteries on a worker pool for free.
-	if *repeat < 1 {
-		*repeat = 1
+	grid := core.Grid{
+		Base: cfg,
+		Axes: []core.Axis{
+			{Name: "protocol", Values: []string{*proto}},
+			{Name: "policy", Values: []string{*policy}},
+		},
+		Repeats: *repeat,
 	}
-	var cells []exp.Cell[anongeo.Config]
-	for rep := 0; rep < *repeat; rep++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(rep)
-		cells = append(cells, exp.Cell[anongeo.Config]{
-			Label:  fmt.Sprintf("%v/%d nodes/seed %d", c.Protocol, c.Nodes, c.Seed),
-			Config: c,
-		})
-	}
-	opt := core.SweepOptions{Parallel: *parallel}
-	if *cache {
-		opt.CacheDir = exp.DefaultCacheDir
-	}
-	hook, err := exp.HookForMode(*progress)
+	opt, err := core.OptionsFromFlags(*parallel, 0, *cache, *progress)
 	if err != nil {
 		return err
-	}
-	if hook != nil {
-		opt.Hooks = append(opt.Hooks, hook)
 	}
 	orch, err := core.NewOrchestrator(opt)
 	if err != nil {
 		return err
 	}
-	outs, err := orch.Execute(cells)
+	pts, err := grid.Run(context.Background(), orch)
 	if err != nil {
 		return err
 	}
 
-	for i, out := range outs {
-		res := out.Value
+	p := pts[0]
+	for i, o := range p.Outs {
+		cfg := p.Cells[i].Config
+		res := o.Value
 		s := res.Summary
 		if *csv {
-			fmt.Printf("%s,%d,%d,%d,%.4f,%.3f,%.3f,%.2f\n",
+			fmt.Fprintf(out, "%s,%d,%d,%d,%.4f,%.3f,%.3f,%.2f\n",
 				cfg.Protocol, cfg.Nodes, s.Sent, s.Delivered, s.DeliveryFraction,
 				float64(s.AvgLatency)/1e6, float64(s.P95Latency)/1e6, s.AvgHops)
 			continue
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
-		fmt.Printf("scenario : %v, %d nodes, %v, seed %d\n", cfg.Protocol, cfg.Nodes, cfg.Duration, cells[i].Config.Seed)
-		fmt.Printf("traffic  : %d flows from %d senders, %dB every %v\n", cfg.Flows, cfg.Senders, cfg.PayloadBytes, cfg.PacketInterval)
-		fmt.Printf("result   : %v\n", s)
+		fmt.Fprintf(out, "scenario : %v, %d nodes, %v, seed %d\n", cfg.Protocol, cfg.Nodes, cfg.Duration, cfg.Seed)
+		fmt.Fprintf(out, "traffic  : %d flows from %d senders, %dB every %v\n", cfg.Flows, cfg.Senders, cfg.PayloadBytes, cfg.PacketInterval)
+		fmt.Fprintf(out, "result   : %v\n", s)
 		if len(s.Drops) > 0 {
-			fmt.Printf("drops    : %v\n", s.Drops)
+			fmt.Fprintf(out, "drops    : %v\n", s.Drops)
 		}
-		fmt.Printf("channel  : %d transmissions, %d collisions, %.1f MB on air\n",
+		fmt.Fprintf(out, "channel  : %d transmissions, %d collisions, %.1f MB on air\n",
 			res.Channel.Transmissions, res.Channel.Collisions, float64(res.Channel.BitsSent)/8e6)
 		if cfg.Protocol == anongeo.ProtoGPSR {
-			fmt.Printf("gpsr     : %+v\n", res.GPSR)
+			fmt.Fprintf(out, "gpsr     : %+v\n", res.GPSR)
 		} else {
-			fmt.Printf("agfw     : %+v\n", res.AGFW)
+			fmt.Fprintf(out, "agfw     : %+v\n", res.AGFW)
 		}
 		if res.Harvest != nil {
 			h := res.Harvest
-			fmt.Printf("adversary: %d identities, %d MAC addrs, %d pseudonyms, %d data headers\n",
+			fmt.Fprintf(out, "adversary: %d identities, %d MAC addrs, %d pseudonyms, %d data headers\n",
 				len(h.ByIdentity), len(h.ByMAC), len(h.ByPseudonym), h.TrapdoorSightings)
 		}
-		if out.Cached {
-			fmt.Printf("wallclock: cache hit\n")
+		if o.Cached {
+			fmt.Fprintf(out, "wallclock: cache hit\n")
 		} else {
-			fmt.Printf("wallclock: %v\n", out.Wall.Round(time.Millisecond))
+			fmt.Fprintf(out, "wallclock: %v\n", o.Wall.Round(time.Millisecond))
 		}
 	}
 	if tl != nil {
-		fmt.Printf("trace    : last %d events (%d evicted)\n", len(tl.Events()), tl.Dropped())
-		if _, err := tl.WriteTo(os.Stdout); err != nil {
+		fmt.Fprintf(out, "trace    : last %d events (%d evicted)\n", len(tl.Events()), tl.Dropped())
+		if _, err := tl.WriteTo(out); err != nil {
 			return err
 		}
 	}

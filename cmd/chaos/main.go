@@ -40,11 +40,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,52 +52,6 @@ import (
 	"anongeo/internal/core"
 	"anongeo/internal/exp"
 )
-
-var protocols = []anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck}
-
-// defenseStack is one defense column of the output: a named combination
-// of the trust, escrow-revocation, and authenticated-ack knobs.
-type defenseStack struct {
-	name                string
-	trust, revoke, auth bool
-}
-
-var stacks = map[string]defenseStack{
-	"off":     {name: "off"},
-	"on":      {name: "trust", trust: true},
-	"revoke":  {name: "revoke", trust: true, revoke: true},
-	"authack": {name: "authack", auth: true},
-}
-
-// defenseColumns resolves the -defense flag into the stacks to sweep.
-func defenseColumns(mode string) ([]defenseStack, error) {
-	switch mode {
-	case "both":
-		return []defenseStack{stacks["off"], stacks["on"]}, nil
-	case "all":
-		return []defenseStack{stacks["off"], stacks["on"], stacks["revoke"], stacks["authack"]}, nil
-	default:
-		st, ok := stacks[mode]
-		if !ok {
-			return nil, fmt.Errorf("field defense: value %q: want off | on | revoke | authack | both | all", mode)
-		}
-		return []defenseStack{st}, nil
-	}
-}
-
-// protocolsFor returns the protocols a defense stack can legally arm
-// (core.Config.Validate rejects the rest): escrow needs rotating
-// pseudonyms, authenticated acks need the network-layer ACK.
-func protocolsFor(st defenseStack) []anongeo.Protocol {
-	switch {
-	case st.auth:
-		return []anongeo.Protocol{anongeo.ProtoAGFW}
-	case st.revoke:
-		return []anongeo.Protocol{anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck}
-	default:
-		return protocols
-	}
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -127,164 +81,64 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	defenses, err := defenseColumns(*defense)
-	if err != nil {
-		return err
-	}
-
 	base := anongeo.DefaultConfig()
+	base.Seed = *seed
 	base.Nodes = *nodes
 	base.Duration = *duration
 	base.PacketInterval = 300 * time.Millisecond
 	base.LossRate = *loss
-	if *repeats < 1 {
-		*repeats = 1
+	// Points nest as (axis value, defense, protocol); the defense axis
+	// drops the protocols its stack cannot arm.
+	grid := core.Grid{
+		Base: base,
+		Axes: []core.Axis{
+			{Name: *axis, Values: strings.Split(*values, ","), Rate: *rate},
+			{Name: "defense", Values: []string{*defense}},
+			{Name: "protocol", Values: []string{"gpsr", "agfw", "agfw-noack"}},
+		},
+		Repeats: *repeats,
 	}
 
-	// One cell per (axis value, defense, protocol, repeat), in that
-	// nesting order; the orchestrator returns outcomes in input order, so
-	// the aggregation below is position-based.
-	var (
-		cells []exp.Cell[anongeo.Config]
-		raws  []string
-	)
-	for _, raw := range strings.Split(*values, ",") {
-		raw = strings.TrimSpace(raw)
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return fmt.Errorf("axis value %q: %w", raw, err)
-		}
-		raws = append(raws, raw)
-		for _, st := range defenses {
-			for _, proto := range protocolsFor(st) {
-				for rep := 0; rep < *repeats; rep++ {
-					cfg := base
-					cfg.Protocol = proto
-					cfg.Seed = *seed + int64(rep)
-					cfg.TrustRelay = st.trust
-					cfg.AuthAck = st.auth
-					if st.revoke {
-						rc := anongeo.DefaultRevocationConfig()
-						cfg.Revocation = &rc
-					}
-					if err := applyFaultAxis(&cfg, *axis, v, *rate); err != nil {
-						return err
-					}
-					cells = append(cells, exp.Cell[anongeo.Config]{
-						Label:  fmt.Sprintf("%s=%s/defense=%s/%v/rep %d", *axis, raw, st.name, proto, rep),
-						Config: cfg,
-					})
-				}
-			}
-		}
-	}
-
-	opt := core.SweepOptions{Parallel: *parallel, Retries: *retries}
-	if *cache {
-		opt.CacheDir = exp.DefaultCacheDir
-	}
-	hook, err := exp.HookForMode(*progress)
+	opt, err := core.OptionsFromFlags(*parallel, *retries, *cache, *progress)
 	if err != nil {
 		return err
-	}
-	if hook != nil {
-		opt.Hooks = append(opt.Hooks, hook)
 	}
 	orch, err := core.NewOrchestrator(opt)
 	if err != nil {
 		return err
 	}
-	outs, err := orch.Execute(cells)
+	pts, err := grid.Run(context.Background(), orch)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "axis,%s,defense,protocol,sent,delivered,pdf,avg_latency_ms,dropped,in_flight,adversary_drops,spoof_settles,quarantines,fading_losses,jam_losses,bad_macs,tag_rejects,openings\n", *axis)
-	i := 0
-	for _, raw := range raws {
-		for _, st := range defenses {
-			for _, proto := range protocolsFor(st) {
-				var sent, delivered, dropped, inflight, adv, spoof, quar, fading, jam, badmac, tagrej, open int
-				var lat float64
-				for rep := 0; rep < *repeats; rep++ {
-					r := outs[i].Value
-					i++
-					sent += r.Summary.Sent
-					delivered += r.Summary.Delivered
-					dropped += r.Summary.DroppedPackets
-					inflight += r.Summary.InFlight
-					adv += r.AGFW.AdversaryDrops + r.GPSR.AdversaryDrops
-					spoof += r.AGFW.SpoofSettles
-					quar += r.AGFW.TrustQuarantines + r.GPSR.TrustQuarantines
-					fading += r.Channel.FadingLosses
-					jam += r.Channel.JamLosses
-					badmac += r.AGFW.AuthAcksBadMAC
-					tagrej += r.AGFW.TagRejects
-					open += r.Revocation.Openings
-					lat += float64(r.Summary.AvgLatency) / 1e6
-				}
-				pdf := 0.0
-				if sent > 0 {
-					pdf = float64(delivered) / float64(sent)
-				}
-				fmt.Fprintf(out, "%s,%s,%s,%v,%d,%d,%.4f,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-					*axis, raw, st.name, proto, sent, delivered, pdf, lat/float64(*repeats),
-					dropped, inflight, adv, spoof, quar, fading, jam, badmac, tagrej, open)
-			}
+	for _, p := range pts {
+		var sent, delivered, dropped, inflight, adv, spoof, quar, fading, jam, badmac, tagrej, open int
+		var lat float64
+		for _, o := range p.Outs {
+			r := o.Value
+			sent += r.Summary.Sent
+			delivered += r.Summary.Delivered
+			dropped += r.Summary.DroppedPackets
+			inflight += r.Summary.InFlight
+			adv += r.AGFW.AdversaryDrops + r.GPSR.AdversaryDrops
+			spoof += r.AGFW.SpoofSettles
+			quar += r.AGFW.TrustQuarantines + r.GPSR.TrustQuarantines
+			fading += r.Channel.FadingLosses
+			jam += r.Channel.JamLosses
+			badmac += r.AGFW.AuthAcksBadMAC
+			tagrej += r.AGFW.TagRejects
+			open += r.Revocation.Openings
+			lat += float64(r.Summary.AvgLatency) / 1e6
 		}
-	}
-	return nil
-}
-
-// applyFaultAxis attaches the fault plan the axis value describes.
-func applyFaultAxis(cfg *anongeo.Config, axis string, v, floodRate float64) error {
-	switch axis {
-	case "greyhole":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultGreyhole, Fraction: v, P: 0.5},
-			}}
+		pdf := 0.0
+		if sent > 0 {
+			pdf = float64(delivered) / float64(sent)
 		}
-	case "blackhole":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultBlackhole, Fraction: v},
-			}}
-		}
-	case "burst":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultGilbertElliott, PGood: 0.01, PBad: v,
-					MeanGood: 5 * time.Second, MeanBad: 500 * time.Millisecond},
-			}}
-		}
-	case "sigma":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultPositionError, Fraction: 1, Sigma: v},
-			}}
-		}
-	case "bogus":
-		// Position forgers with a 200 m lure, sinkholing captured traffic.
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultBogusBeacon, Fraction: v, P: 1},
-			}}
-		}
-	case "ackspoof":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultAckSpoof, Fraction: v, P: 1},
-			}}
-		}
-	case "flood":
-		if v > 0 {
-			cfg.Faults = &anongeo.FaultPlan{Entries: []anongeo.FaultEntry{
-				{Kind: anongeo.FaultFlood, Fraction: v, Rate: floodRate},
-			}}
-		}
-	default:
-		return fmt.Errorf("unknown axis %q", axis)
+		fmt.Fprintf(out, "%s,%s,%s,%v,%d,%d,%.4f,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+			*axis, p.Coords[0], p.Coords[1], p.Cells[0].Config.Protocol, sent, delivered, pdf, lat/float64(len(p.Outs)),
+			dropped, inflight, adv, spoof, quar, fading, jam, badmac, tagrej, open)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,7 +15,8 @@ import (
 // the two rotating AGFW stacks, and the authack stack for AGFW proper
 // only. A misaligned emit loop (the aggregation is position-based)
 // would scramble rows before it broke any numeric assertion, so the
-// golden grid is the real guard.
+// golden grid is the real guard; the SHA-256 of the whole CSV pins the
+// numbers too.
 func TestDefenseColumnsCSVGolden(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
@@ -63,6 +66,10 @@ func TestDefenseColumnsCSVGolden(t *testing.T) {
 		if got := strings.Join(fields[:4], ","); got != goldenGrid[i] {
 			t.Errorf("row %d grid: got %s want %s", i, got, goldenGrid[i])
 		}
+	}
+	const goldenSHA = "638b41eb325e0ee5596229f79622c1b9be6ef730a2862d6b0f6c82abe6d3a59f"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != goldenSHA {
+		t.Errorf("CSV SHA-256 drifted: got %s want %s\n%s", got, goldenSHA, out.String())
 	}
 }
 

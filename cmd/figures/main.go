@@ -62,23 +62,17 @@ func main() {
 	)
 	flag.Parse()
 
-	r := &runner{short: *short, repeats: *repeats, csv: *csv, seed: *seed, parallel: *parallel, retries: *retries, server: *server}
-	if *cache {
-		r.cacheDir = exp.DefaultCacheDir
-	}
-	hook, err0 := exp.HookForMode(*progress)
-	if err0 != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err0)
+	opt, err := core.OptionsFromFlags(*parallel, *retries, *cache, *progress)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
-	if hook != nil {
-		r.hooks = append(r.hooks, hook)
-	}
+	opt.Repeats = *repeats
+	r := &runner{short: *short, csv: *csv, seed: *seed, server: *server, opt: opt}
 	if *server != "" && *fig != "1a" && *fig != "1b" {
 		fmt.Fprintf(os.Stderr, "figures: -server only supports the density sweeps (-fig 1a | 1b); %q runs in-process experiments\n", *fig)
 		os.Exit(1)
 	}
-	var err error
 	switch *fig {
 	case "1a", "1b":
 		err = r.figure1(*fig)
@@ -119,44 +113,24 @@ func main() {
 }
 
 type runner struct {
-	short    bool
-	repeats  int
-	csv      bool
-	seed     int64
-	parallel int
-	retries  int
-	cacheDir string
-	server   string
-	hooks    []exp.Hook
+	short  bool
+	csv    bool
+	seed   int64
+	server string
+	// opt is shared by every grid; only the density sweeps read Repeats.
+	opt core.SweepOptions
 }
 
-// sweepOptions bundles the orchestrator knobs shared by every grid.
-func (r *runner) sweepOptions() core.SweepOptions {
-	return core.SweepOptions{
-		Repeats:  r.repeats,
-		Parallel: r.parallel,
-		Retries:  r.retries,
-		CacheDir: r.cacheDir,
-		Hooks:    r.hooks,
-	}
-}
-
-// runCells executes an ablation's scenario grid on the orchestrator and
-// returns results in input order, so print loops stay position-based.
-func (r *runner) runCells(cells []exp.Cell[anongeo.Config]) ([]anongeo.Result, error) {
-	orch, err := core.NewOrchestrator(r.sweepOptions())
+// runAblation executes a single-seed ablation grid over the mid-length
+// base scenario and returns its points, each with its one outcome.
+func (r *runner) runAblation(axes ...core.Axis) ([]core.Point, error) {
+	orch, err := core.NewOrchestrator(r.opt)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := orch.Execute(cells)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]anongeo.Result, len(outs))
-	for i, o := range outs {
-		res[i] = o.Value
-	}
-	return res, nil
+	base := r.baseConfig()
+	base.Duration = r.midDuration()
+	return core.Grid{Base: base, Axes: axes, Repeats: 1}.Run(context.Background(), orch)
 }
 
 // baseConfig is the calibrated Figure 1 workload (see EXPERIMENTS.md):
@@ -185,7 +159,7 @@ func (r *runner) midDuration() time.Duration {
 func (r *runner) figure1(which string) error {
 	cfg := r.baseConfig()
 	fmt.Printf("# Figure 1 (%s): %v per run, %d repeats, 30 CBR flows (64 B @ %v) from 20 senders\n",
-		which, cfg.Duration, r.repeats, cfg.PacketInterval)
+		which, cfg.Duration, r.opt.Repeats, cfg.PacketInterval)
 	var (
 		pts []anongeo.DensityPoint
 		err error
@@ -194,7 +168,7 @@ func (r *runner) figure1(which string) error {
 		pts, err = r.remoteSweep(cfg)
 	} else {
 		pts, err = anongeo.DensitySweepOpts(cfg, anongeo.PaperNodeCounts,
-			[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck}, r.sweepOptions())
+			[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck}, r.opt)
 	}
 	if err != nil {
 		return err
@@ -215,7 +189,7 @@ func (r *runner) remoteSweep(cfg anongeo.Config) ([]anongeo.DensityPoint, error)
 		Base:       cfg,
 		NodeCounts: anongeo.PaperNodeCounts,
 		Protocols:  []string{"gpsr", "agfw", "agfw-noack"},
-		Repeats:    r.repeats,
+		Repeats:    r.opt.Repeats,
 	}
 	c := dist.NewClient(r.server)
 	ctx := context.Background()
@@ -237,11 +211,7 @@ func (r *runner) remoteSweep(cfg anongeo.Config) ([]anongeo.DensityPoint, error)
 		case serve.JobDone:
 			pts := make([]anongeo.DensityPoint, len(st.Points))
 			for i, p := range st.Points {
-				proto, err := serve.ParseProtocol(p.Protocol)
-				if err != nil {
-					return nil, fmt.Errorf("job %s point %d: %w", sub.ID, i, err)
-				}
-				pts[i] = anongeo.DensityPoint{Protocol: proto, Nodes: p.Nodes, Result: p.Result}
+				pts[i] = anongeo.DensityPoint{Protocol: p.Result.Protocol, Nodes: p.Nodes, Result: p.Result}
 			}
 			return pts, nil
 		case serve.JobFailed, serve.JobCanceled:
@@ -319,21 +289,13 @@ func (r *runner) ablationRing() error {
 
 	fmt.Println("\n# A1 (network effect): AGFW at 50 nodes with authenticated hellos")
 	fmt.Println("k\tpdf\tavg_latency\tbits_on_air")
-	ks := []int{0, 2, 4, 8}
-	var cells []exp.Cell[anongeo.Config]
-	for _, k := range ks {
-		cfg := r.baseConfig()
-		cfg.AuthHelloK = k
-		cfg.Duration = r.midDuration()
-		cells = append(cells, exp.Cell[anongeo.Config]{Label: fmt.Sprintf("a1/k=%d", k), Config: cfg})
-	}
-	results, err := r.runCells(cells)
+	pts, err := r.runAblation(core.Axis{Name: "authk", Values: []string{"0", "2", "4", "8"}})
 	if err != nil {
 		return err
 	}
-	for i, k := range ks {
-		res := results[i]
-		fmt.Printf("%d\t%.3f\t%v\t%d\n", k, res.Summary.DeliveryFraction,
+	for _, p := range pts {
+		res := p.Outs[0].Value
+		fmt.Printf("%s\t%.3f\t%v\t%d\n", p.Coords[0], res.Summary.DeliveryFraction,
 			res.Summary.AvgLatency.Round(10*time.Microsecond), res.Channel.BitsSent)
 	}
 	return nil
@@ -344,25 +306,17 @@ func (r *runner) ablationRing() error {
 func (r *runner) ablationTrapdoorLocality() error {
 	fmt.Println("# A2: trapdoor locality — only last-hop-region nodes pay the decrypt cost")
 	fmt.Println("nodes\tforwards\ttrapdoor_tries\ttries_per_delivered\topens")
-	counts := []int{50, 100, 150}
-	var cells []exp.Cell[anongeo.Config]
-	for _, nn := range counts {
-		cfg := r.baseConfig()
-		cfg.Nodes = nn
-		cfg.Duration = r.midDuration()
-		cells = append(cells, exp.Cell[anongeo.Config]{Label: fmt.Sprintf("a2/%d nodes", nn), Config: cfg})
-	}
-	results, err := r.runCells(cells)
+	pts, err := r.runAblation(core.Axis{Name: "nodes", Values: []string{"50", "100", "150"}})
 	if err != nil {
 		return err
 	}
-	for i, nn := range counts {
-		res := results[i]
+	for _, p := range pts {
+		res := p.Outs[0].Value
 		perDelivered := 0.0
 		if res.Summary.Delivered > 0 {
 			perDelivered = float64(res.AGFW.TrapdoorTries) / float64(res.Summary.Delivered)
 		}
-		fmt.Printf("%d\t%d\t%d\t%.2f\t%d\n", nn, res.AGFW.Forwards, res.AGFW.TrapdoorTries,
+		fmt.Printf("%s\t%d\t%d\t%.2f\t%d\n", p.Coords[0], res.AGFW.Forwards, res.AGFW.TrapdoorTries,
 			perDelivered, res.AGFW.TrapdoorOpens)
 	}
 	return nil
@@ -444,41 +398,17 @@ func (r *runner) ablationALS() error {
 func (r *runner) ablationPolicy() error {
 	fmt.Println("# A4: AGFW next-hop policy ablation (freshness matters under mobility)")
 	fmt.Println("policy\treach_filter\tnodes\tpdf\tavg_latency")
-	type row struct {
-		name  string
-		reach bool
-		nodes int
-	}
-	var (
-		rows  []row
-		cells []exp.Cell[anongeo.Config]
+	pts, err := r.runAblation(
+		core.Axis{Name: "nodes", Values: []string{"50", "150"}},
+		core.Axis{Name: "policy", Values: []string{"closest", "freshest", "weighted"}},
+		core.Axis{Name: "reach-filter", Values: []string{"false", "true"}},
 	)
-	for _, nn := range []int{50, 150} {
-		for _, pol := range []struct {
-			name string
-			p    anongeo.Policy
-		}{{"closest", anongeo.PolicyClosest}, {"freshest", anongeo.PolicyFreshest}, {"weighted", anongeo.PolicyWeighted}} {
-			for _, reach := range []bool{false, true} {
-				cfg := r.baseConfig()
-				cfg.Nodes = nn
-				cfg.Policy = pol.p
-				cfg.ReachFilter = reach
-				cfg.Duration = r.midDuration()
-				rows = append(rows, row{name: pol.name, reach: reach, nodes: nn})
-				cells = append(cells, exp.Cell[anongeo.Config]{
-					Label:  fmt.Sprintf("a4/%s/reach=%v/%d nodes", pol.name, reach, nn),
-					Config: cfg,
-				})
-			}
-		}
-	}
-	results, err := r.runCells(cells)
 	if err != nil {
 		return err
 	}
-	for i, rw := range rows {
-		res := results[i]
-		fmt.Printf("%s\t%v\t%d\t%.3f\t%v\n", rw.name, rw.reach, rw.nodes,
+	for _, p := range pts {
+		res := p.Outs[0].Value
+		fmt.Printf("%s\t%s\t%s\t%.3f\t%v\n", p.Coords[1], p.Coords[2], p.Coords[0],
 			res.Summary.DeliveryFraction, res.Summary.AvgLatency.Round(10*time.Microsecond))
 	}
 	return nil

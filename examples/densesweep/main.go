@@ -21,8 +21,8 @@ func main() {
 	cfg.PacketInterval = 300 * time.Millisecond
 
 	fmt.Println("Figure 1 at reduced scale (90 s per cell; see cmd/figures for 900 s):")
-	pts, err := anongeo.DensitySweep(cfg, []int{50, 100, 150},
-		[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck})
+	pts, err := anongeo.DensitySweepOpts(cfg, []int{50, 100, 150},
+		[]anongeo.Protocol{anongeo.ProtoGPSR, anongeo.ProtoAGFW, anongeo.ProtoAGFWNoAck}, anongeo.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

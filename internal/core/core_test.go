@@ -287,7 +287,7 @@ func TestSweepHelpers(t *testing.T) {
 	cfg.Nodes = 30
 	cfg.Senders = 10
 	cfg.Flows = 10
-	pts, err := DensitySweepN(cfg, []int{30, 40}, []Protocol{ProtoGPSR, ProtoAGFW}, 2)
+	pts, err := DensitySweepOpts(cfg, []int{30, 40}, []Protocol{ProtoGPSR, ProtoAGFW}, SweepOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

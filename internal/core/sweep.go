@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"text/tabwriter"
 	"time"
 
@@ -28,20 +30,6 @@ func (p DensityPoint) Latency() time.Duration { return p.Result.Summary.AvgLaten
 // the 50-node baseline up past the 112-node crossover it calls out.
 var PaperNodeCounts = []int{50, 75, 100, 112, 125, 150}
 
-// DensitySweep runs base at each node count for each protocol and
-// returns the grid of results row by row. Each cell gets a distinct
-// derived seed so protocols face the same placements per density.
-func DensitySweep(base Config, nodeCounts []int, protocols []Protocol) ([]DensityPoint, error) {
-	return DensitySweepN(base, nodeCounts, protocols, 1)
-}
-
-// DensitySweepN is DensitySweep averaged over `repeats` independent
-// seeds per cell, smoothing topology luck. Protocols share seeds within
-// a cell so they face identical placements and flows.
-func DensitySweepN(base Config, nodeCounts []int, protocols []Protocol, repeats int) ([]DensityPoint, error) {
-	return DensitySweepOpts(base, nodeCounts, protocols, SweepOptions{Repeats: repeats})
-}
-
 // SweepOptions tunes how a sweep grid executes; the zero value matches
 // the historical serial-equivalent behavior (one repeat, GOMAXPROCS
 // workers, no cache, no telemetry). Parallel execution is bit-for-bit
@@ -61,11 +49,19 @@ type SweepOptions struct {
 	Hooks []exp.Hook
 }
 
-// CellSeed derives the seed a sweep cell runs under, shared across
-// protocols at the same (density, repeat) so they face identical
-// placements and flows.
-func CellSeed(base int64, nodes, rep int) int64 {
-	return base + int64(nodes)*1000 + int64(rep)
+// OptionsFromFlags builds SweepOptions from the orchestrator flags the
+// command-line front ends share: -parallel, -retries, -cache (under
+// exp.DefaultCacheDir) and -progress (see exp.HookForMode).
+func OptionsFromFlags(parallel, retries int, cache bool, progress string) (SweepOptions, error) {
+	opt := SweepOptions{Parallel: parallel, Retries: retries}
+	if cache {
+		opt.CacheDir = exp.DefaultCacheDir
+	}
+	hook, err := exp.HookForMode(progress)
+	if hook != nil {
+		opt.Hooks = []exp.Hook{hook}
+	}
+	return opt, err
 }
 
 // Cacheable reports whether a config's result may be served from the
@@ -78,9 +74,8 @@ func Cacheable(cfg Config) bool {
 
 // NewOrchestrator builds the experiment orchestrator the sweeps run on,
 // wired for core configs: core.RunContext as the cell runner, the Cacheable
-// exemption, and simulated-duration telemetry. Callers with bespoke
-// grids (cmd/sweep's axis scans, cmd/figures' ablations) use it
-// directly with their own cells.
+// exemption, and simulated-duration telemetry. Front ends run their
+// Grids on it.
 func NewOrchestrator(opt SweepOptions) (*exp.Orchestrator[Config, Result], error) {
 	o := &exp.Orchestrator[Config, Result]{
 		RunCtx:      RunContext,
@@ -100,69 +95,65 @@ func NewOrchestrator(opt SweepOptions) (*exp.Orchestrator[Config, Result], error
 	return o, nil
 }
 
-// SweepCells expands a Figure 1 grid — (node count × protocol ×
-// repeat) over a base config — into orchestrator cells in the fixed
-// input order FoldSweep expects. Repeats below 1 are treated as 1.
-func SweepCells(base Config, nodeCounts []int, protocols []Protocol, repeats int) []exp.Cell[Config] {
-	if repeats < 1 {
-		repeats = 1
+// DensityGrid is the Figure 1 grid: node count × protocol (protocol
+// axis spellings) over base, each point run under repeats seeds.
+func DensityGrid(base Config, nodeCounts []int, protocols []string, repeats int) Grid {
+	nodes := make([]string, len(nodeCounts))
+	for i, n := range nodeCounts {
+		nodes[i] = strconv.Itoa(n)
 	}
-	var cells []exp.Cell[Config]
-	for _, nn := range nodeCounts {
-		for _, proto := range protocols {
-			for rep := 0; rep < repeats; rep++ {
-				cfg := base
-				cfg.Nodes = nn
-				cfg.Protocol = proto
-				cfg.Seed = CellSeed(base.Seed, nn, rep)
-				cells = append(cells, exp.Cell[Config]{
-					Label:  fmt.Sprintf("%v/%d nodes/rep %d", proto, nn, rep),
-					Config: cfg,
-				})
-			}
-		}
-	}
-	return cells
+	return Grid{Base: base, Axes: []Axis{{Name: "nodes", Values: nodes}, {Name: "protocol", Values: protocols}}, Repeats: repeats}
 }
 
-// FoldSweep folds SweepCells outcomes (in input order) back into one
-// DensityPoint per (node count, protocol) grid cell, averaging each
-// cell's repeats with meanResult.
-func FoldSweep(nodeCounts []int, protocols []Protocol, repeats int, outs []exp.Outcome[Result]) []DensityPoint {
-	if repeats < 1 {
-		repeats = 1
+func densityGrid(base Config, nodeCounts []int, protocols []Protocol, repeats int) Grid {
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = ProtocolValue(p)
 	}
-	var points []DensityPoint
-	i := 0
-	for _, nn := range nodeCounts {
-		for _, proto := range protocols {
-			acc := make([]Result, repeats)
-			for rep := 0; rep < repeats; rep++ {
-				acc[rep] = outs[i].Value
-				i++
-			}
-			points = append(points, DensityPoint{Protocol: proto, Nodes: nn, Result: meanResult(acc)})
+	return DensityGrid(base, nodeCounts, names, repeats)
+}
+
+// SweepCells expands a Figure 1 grid — (node count × protocol ×
+// repeat) over a base config — into orchestrator cells, the
+// DensityGrid's cells in order. It panics on a protocol outside the
+// Proto constants.
+func SweepCells(base Config, nodeCounts []int, protocols []Protocol, repeats int) []exp.Cell[Config] {
+	pts, err := densityGrid(base, nodeCounts, protocols, repeats).Points()
+	if err != nil {
+		panic(err)
+	}
+	return Cells(pts)
+}
+
+// DensityPoints folds a density grid's executed points into one
+// DensityPoint each, averaging the point's repeats with meanResult.
+func DensityPoints(pts []Point) []DensityPoint {
+	out := make([]DensityPoint, len(pts))
+	for i, p := range pts {
+		rs := make([]Result, len(p.Outs))
+		for j, o := range p.Outs {
+			rs[j] = o.Value
 		}
+		cfg := p.Cells[0].Config
+		out[i] = DensityPoint{Protocol: cfg.Protocol, Nodes: cfg.Nodes, Result: meanResult(rs)}
 	}
-	return points
+	return out
 }
 
 // DensitySweepOpts is the fully tunable sweep: the Figure 1 grid
 // executed on the exp orchestrator with optional parallelism, result
-// caching, and telemetry.
+// caching, and telemetry. Protocols share seeds at each (density,
+// repeat), so they face identical placements and flows.
 func DensitySweepOpts(base Config, nodeCounts []int, protocols []Protocol, opt SweepOptions) ([]DensityPoint, error) {
-	cells := SweepCells(base, nodeCounts, protocols, opt.Repeats)
 	orch, err := NewOrchestrator(opt)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := orch.Execute(cells)
+	pts, err := densityGrid(base, nodeCounts, protocols, opt.Repeats).Run(context.Background(), orch)
 	if err != nil {
 		return nil, fmt.Errorf("core: sweep: %w", err)
 	}
-	// Outcomes arrive in input order: each consecutive run of `repeats`
-	// outcomes folds into one grid point.
-	return FoldSweep(nodeCounts, protocols, opt.Repeats, outs), nil
+	return DensityPoints(pts), nil
 }
 
 // meanResult folds per-repeat results into one cell: counter-style

@@ -141,18 +141,17 @@ func (c *Coordinator) Close() { c.pool.close() }
 func (c *Coordinator) HealthyWorkers() int { return c.pool.healthyCount() }
 
 // cellRequest builds the single-cell sweep request that makes a worker
-// reproduce exactly cfg. The worker re-derives the cell seed as
-// CellSeed(base.Seed, nodes, 0) = base.Seed + 1000·nodes, so shipping
-// base.Seed = cfg.Seed − 1000·cfg.Nodes round-trips the original seed —
-// and with Nodes and Protocol re-applied to the same values, the
+// reproduce exactly cfg. The worker's grid sweeps nodes, so its cell
+// seed derives from the base seed; core.BaseSeedFor inverts that rule,
+// and with Nodes and Protocol re-applied to the same values the
 // worker's expanded cell config is bit-for-bit cfg.
 func cellRequest(cfg core.Config) serve.SweepRequest {
 	base := cfg
-	base.Seed = cfg.Seed - 1000*int64(cfg.Nodes)
+	base.Seed = core.BaseSeedFor(cfg.Seed, cfg.Nodes)
 	return serve.SweepRequest{
 		Base:       base,
 		NodeCounts: []int{cfg.Nodes},
-		Protocols:  []string{serve.ProtocolName(cfg.Protocol)},
+		Protocols:  []string{core.ProtocolValue(cfg.Protocol)},
 		Repeats:    1,
 	}
 }

@@ -404,11 +404,11 @@ func TestCellRequestReproducesCell(t *testing.T) {
 		[]core.Protocol{core.ProtoGPSR, core.ProtoAGFW, core.ProtoAGFWNoAck}, 3)
 	for _, cell := range cells {
 		req := cellRequest(cell.Config)
-		p, err := serve.ParseProtocol(req.Protocols[0])
+		pts, err := core.DensityGrid(req.Base, req.NodeCounts, req.Protocols, req.Repeats).Points()
 		if err != nil {
 			t.Fatalf("%s: %v", cell.Label, err)
 		}
-		expanded := core.SweepCells(req.Base, req.NodeCounts, []core.Protocol{p}, req.Repeats)
+		expanded := core.Cells(pts)
 		if len(expanded) != 1 {
 			t.Fatalf("%s: single-cell request expanded to %d cells", cell.Label, len(expanded))
 		}

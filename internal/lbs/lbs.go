@@ -110,7 +110,8 @@ type Config struct {
 	GridLevel int `json:"grid_level,omitempty"`
 	// Epsilon is the geoind privacy parameter in 1/meters (geoind only).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// KeyBits is the paperals RSA modulus size (>= 512; paperals only).
+	// KeyBits is the paperals RSA modulus size (512 or 1024; paperals
+	// only).
 	KeyBits int `json:"key_bits,omitempty"`
 
 	// MaxTrackSightings caps the number of exposure sightings fed to the
@@ -209,8 +210,11 @@ func (c Config) Validate() error {
 			return fieldErr("epsilon", c.Epsilon, "geoind needs epsilon > 0")
 		}
 	case BackendPaperALS:
-		if c.KeyBits < 512 {
-			return fieldErr("key_bits", c.KeyBits, "paperals needs key_bits >= 512")
+		// Keys are derived once per (identity, bits) and pooled for the
+		// process lifetime, so an open size would let one request buy
+		// unbounded key-generation CPU and pool growth.
+		if c.KeyBits != 512 && c.KeyBits != 1024 {
+			return fieldErr("key_bits", c.KeyBits, "paperals needs key_bits 512 or 1024")
 		}
 	}
 	return nil

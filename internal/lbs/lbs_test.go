@@ -235,6 +235,7 @@ func TestValidateFieldErrors(t *testing.T) {
 		{func(c *Config) { c.Backend = BackendGeoInd; c.K = 5 }, "field k"},
 		{func(c *Config) { c.Backend = BackendGridCloak; c.K = 0 }, "field grid_level"},
 		{func(c *Config) { c.Backend = BackendPaperALS; c.K = 0; c.KeyBits = 128 }, "field key_bits"},
+		{func(c *Config) { c.Backend = BackendPaperALS; c.K = 0; c.KeyBits = 1 << 20 }, "field key_bits: value 1048576"},
 		{func(c *Config) { c.Buddies = 0 }, "field buddies"},
 		{func(c *Config) { c.UpdateInterval = 0 }, "field update_interval"},
 		{func(c *Config) { c.MaxTrackSightings = 0 }, "field max_track_sightings"},

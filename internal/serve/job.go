@@ -86,7 +86,7 @@ func (s jobSpec) normalize(maxCells int) (jobSpec, error) {
 		}
 		return jobSpec{LBSReq: &norm}, nil
 	}
-	norm, _, err := s.Req.normalize(maxCells)
+	norm, err := s.Req.normalize(maxCells)
 	return jobSpec{Req: &norm}, err
 }
 
@@ -134,15 +134,16 @@ func (s jobSpec) run(ctx context.Context, m *Manager, hook exp.Hook) (jobResult,
 		return jobResult{Curves: lbs.Fold(*r, outs)}, counts, nil
 	}
 	r := s.Req
-	protos := make([]core.Protocol, len(r.Protocols))
-	for i, name := range r.Protocols {
-		protos[i], _ = ParseProtocol(name) // validated at admission
+	pts, err := core.DensityGrid(r.Base, r.NodeCounts, r.Protocols, r.Repeats).Points() // validated at admission
+	if err != nil {
+		return jobResult{}, CellCounts{}, err
 	}
-	outs, counts, err := execute(ctx, m.orch, core.SweepCells(r.Base, r.NodeCounts, protos, r.Repeats), hook)
+	outs, counts, err := execute(ctx, m.orch, core.Cells(pts), hook)
 	if err != nil {
 		return jobResult{}, counts, err
 	}
-	return jobResult{Points: core.FoldSweep(r.NodeCounts, protos, r.Repeats, outs)}, counts, nil
+	core.Fold(pts, outs)
+	return jobResult{Points: core.DensityPoints(pts)}, counts, nil
 }
 
 // execute runs cells on o and tallies the outcomes.

@@ -117,6 +117,29 @@ func TestLBSRejectsBadRequest(t *testing.T) {
 	}
 }
 
+// TestLBSRejectsHugeKeyBits: key_bits is bounded at admission, so a
+// POST cannot make the daemon derive (and pool for good) keys of any
+// size it names.
+func TestLBSRejectsHugeKeyBits(t *testing.T) {
+	_, ts := newTestServer(t, Options{}, nil)
+	req := tinyLBSRequest()
+	req.Backends = []string{"paperals"}
+	req.Base.KeyBits = 1 << 20
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/lbs", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "key_bits: value 1048576") {
+		t.Fatalf("key_bits 1048576: status %d body %s, want 400 naming the field", resp.StatusCode, body)
+	}
+}
+
 // TestLBSJournalRestore proves lbs jobs survive a daemon restart: the
 // done record in the WAL carries the curves, so a restored job serves
 // its result without recomputation.

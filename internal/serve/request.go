@@ -2,14 +2,13 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"anongeo/internal/core"
 )
 
 // SweepRequest is the body of POST /v1/sweeps: a base scenario plus the
-// grid axes to sweep it over — exactly the core.DensitySweep shape, so
-// a Figure 1 reproduction is one POST. Empty axes default to the base
+// grid axes to sweep it over — exactly core.DensityGrid's shape, so a
+// Figure 1 reproduction is one POST. Empty axes default to the base
 // config's own values (a single-cell job).
 type SweepRequest struct {
 	// Base is the scenario every cell derives from, including an
@@ -30,89 +29,58 @@ func (r SweepRequest) Cells() int {
 	return len(r.NodeCounts) * len(r.Protocols) * r.Repeats
 }
 
-// ParseProtocol maps wire names to protocol constants; String() output
-// is also accepted so a request can echo back a previous response.
-func ParseProtocol(s string) (core.Protocol, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "gpsr", "gpsr-greedy":
-		return core.ProtoGPSR, nil
-	case "agfw":
-		return core.ProtoAGFW, nil
-	case "agfw-noack":
-		return core.ProtoAGFWNoAck, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q (want gpsr | agfw | agfw-noack)", s)
-	}
-}
-
-// ProtocolName is ParseProtocol's inverse: the canonical wire spelling
-// of a protocol, used by clients (the dist coordinator) to build
-// requests that normalize to the same content address everywhere.
-func ProtocolName(p core.Protocol) string {
-	switch p {
-	case core.ProtoGPSR:
-		return "gpsr"
-	case core.ProtoAGFW:
-		return "agfw"
-	case core.ProtoAGFWNoAck:
-		return "agfw-noack"
-	default:
-		return p.String()
-	}
-}
-
 // normalize fills request defaults, canonicalizes the axes (so two
 // spellings of the same grid share a job ID), and validates every cell
 // the grid will expand to. maxCells bounds the grid for admission
 // control.
-func (r SweepRequest) normalize(maxCells int) (SweepRequest, []core.Protocol, error) {
+func (r SweepRequest) normalize(maxCells int) (SweepRequest, error) {
 	out := r
-	// Clone the axis slices: canonicalization below rewrites them, and a
-	// shallow copy would scribble on the caller's backing arrays — a data
-	// race when one request value is submitted from several goroutines.
+	// Clone the node axis: a shallow copy would share the caller's
+	// backing array, a data race when one request value is submitted
+	// from several goroutines. ParseAxis returns a fresh protocol slice.
 	out.NodeCounts = append([]int(nil), r.NodeCounts...)
-	out.Protocols = append([]string(nil), r.Protocols...)
 	if out.Repeats < 1 {
 		out.Repeats = 1
 	}
 	if len(out.NodeCounts) == 0 {
 		out.NodeCounts = []int{out.Base.Nodes}
 	}
-	if len(out.Protocols) == 0 {
-		out.Protocols = []string{ProtocolName(out.Base.Protocol)}
+	protos := r.Protocols
+	if len(protos) == 0 {
+		protos = []string{core.ProtocolValue(out.Base.Protocol)}
 	}
-	protos := make([]core.Protocol, len(out.Protocols))
-	for i, name := range out.Protocols {
-		p, err := ParseProtocol(name)
-		if err != nil {
-			return out, nil, fmt.Errorf("protocols[%d]: %w", i, err)
-		}
-		protos[i] = p
-		out.Protocols[i] = ProtocolName(p) // canonical spelling
+	axis, err := core.ParseAxis("protocol", protos)
+	if err != nil {
+		return out, fmt.Errorf("protocols: %w", err)
 	}
+	out.Protocols = axis.Values // canonical spelling
 
 	// Server-side jobs must be pure functions of the request: a trace
 	// sink or sniffer harvest is an in-process attachment that neither
 	// serializes into a response cleanly nor caches, and would defeat
 	// the dedupe-by-content contract.
 	if out.Base.Trace != nil {
-		return out, nil, fmt.Errorf("base.Trace: tracing is not available over the API")
+		return out, fmt.Errorf("base.Trace: tracing is not available over the API")
 	}
 	if out.Base.WithSniffer {
-		return out, nil, fmt.Errorf("base.WithSniffer = true: sniffer harvests are not available over the API")
+		return out, fmt.Errorf("base.WithSniffer = true: sniffer harvests are not available over the API")
 	}
 
 	if n := out.Cells(); maxCells > 0 && n > maxCells {
-		return out, nil, fmt.Errorf("grid has %d cells (node_counts %d × protocols %d × repeats %d), server cap is %d",
+		return out, fmt.Errorf("grid has %d cells (node_counts %d × protocols %d × repeats %d), server cap is %d",
 			n, len(out.NodeCounts), len(out.Protocols), out.Repeats, maxCells)
 	}
 
 	// Validate exactly the cells that will run, so the 400 names the
 	// offending field instead of failing the job later.
-	for _, cell := range core.SweepCells(out.Base, out.NodeCounts, protos, out.Repeats) {
+	pts, err := core.DensityGrid(out.Base, out.NodeCounts, out.Protocols, out.Repeats).Points()
+	if err != nil {
+		return out, err
+	}
+	for _, cell := range core.Cells(pts) {
 		if err := cell.Config.Validate(); err != nil {
-			return out, nil, fmt.Errorf("cell %q: %w", cell.Label, err)
+			return out, fmt.Errorf("cell %q: %w", cell.Label, err)
 		}
 	}
-	return out, protos, nil
+	return out, nil
 }

@@ -35,7 +35,7 @@ func mustMarshal(t *testing.T, v any) []byte {
 // after a terminal state, and undecodable garbage.
 func TestFoldWALLifecycle(t *testing.T) {
 	req := tinyRequest()
-	norm, _, err := req.normalize(0)
+	norm, err := req.normalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFoldWALLifecycle(t *testing.T) {
 // snapshot yields exactly the state that produced it.
 func TestSnapshotWALRoundTrip(t *testing.T) {
 	req := tinyRequest()
-	norm, _, err := req.normalize(0)
+	norm, err := req.normalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func writeWAL(t *testing.T, dir string, recs ...walRecord) {
 func TestReplayReadmitsInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	req := tinyRequest()
-	norm, _, err := req.normalize(0)
+	norm, err := req.normalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 func TestReplayedFailureIsRetryable(t *testing.T) {
 	dir := t.TempDir()
 	req := tinyRequest()
-	norm, _, err := req.normalize(0)
+	norm, err := req.normalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSubmitCancelRace(t *testing.T) {
 	})
 
 	req := tinyRequest()
-	norm, _, err := req.normalize(0)
+	norm, err := req.normalize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
